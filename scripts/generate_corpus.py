@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -54,12 +53,7 @@ def main() -> int:
     )
     print(f"sampled {len(samples)} scenes in {time.monotonic() - t0:.1f}s", file=sys.stderr)
 
-    per_sample = max(1, math.ceil(args.dpo_n / len(samples)))
-    pairs = generate_dpo_pairs(
-        samples, args.seed, vocab, template, pairs_per_sample=per_sample
-    )[: args.dpo_n]
-    if len(pairs) < args.dpo_n:
-        print(f"warning: only {len(pairs)} preference pairs produced", file=sys.stderr)
+    pairs = generate_dpo_pairs(samples, args.seed, vocab, template, args.dpo_n)
 
     manifest = {"template": args.template, "seed": args.seed, "files": {}}
     stages = {

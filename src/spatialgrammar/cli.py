@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import __version__
-from .compiler import CompilerConfig, compile_building, compile_source
+from .compiler import CompilerConfig, compile_building, compile_source, parse_source
 from .drfr import evaluate_cumulative, evaluate_drfr, load_checklists
 from .errors import (
     OrphanOpeningError,
@@ -21,7 +20,7 @@ from .errors import (
 )
 from .export import canonical_json, export_scene, load_scene_json
 from .llmslb import check_closure, parse_llmslb
-from .llmsli import parse_llmsli, program_stats
+from .llmsli import program_stats
 from .templates import load_template
 from .validator import ValidatorConfig, report_text, validate
 from .vocab import load_vocabulary
@@ -147,21 +146,21 @@ def _cmd_gen_data(args) -> int:
         jsonl_bytes,
     )
 
+    for flag, value in (("--n", args.n), ("--base-n", args.base_n)):
+        if value is not None and value < 1:
+            print(f"error: {flag} must be at least 1, got {value}", file=sys.stderr)
+            return EXIT_USAGE
     vocab = load_vocabulary(args.vocab)
     template = load_template(args.template, vocab)
     out_path = args.out or f"{args.stage}.jsonl"
     if args.stage == "dpo":
         from .errorchain import generate_dpo_pairs
 
-        base_n = args.base_n or args.n
+        base_n = args.n if args.base_n is None else args.base_n
         samples = generate_sft_dataset(
             template, base_n, args.seed, vocab, workers=args.workers
         )
-        per_sample = max(1, math.ceil(args.n / len(samples)))
-        pairs = generate_dpo_pairs(
-            samples, args.seed, vocab, template, pairs_per_sample=per_sample
-        )[: args.n]
-        records = dpo_records(pairs)
+        records = dpo_records(generate_dpo_pairs(samples, args.seed, vocab, template, args.n))
     else:
         samples = generate_sft_dataset(
             template, args.n, args.seed, vocab, workers=args.workers
@@ -201,9 +200,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    text = _read(args.file)
-    head = text.lstrip().split(None, 1)[0] if text.strip() else ""
-    program = parse_llmslb(text) if head == "llmslb" else parse_llmsli(text)
+    program = parse_source(_read(args.file))
     sys.stdout.write(canonical_json(program_stats(program)) + "\n")
     return EXIT_OK
 

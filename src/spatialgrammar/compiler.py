@@ -30,6 +30,7 @@ from .llmsli import (
     Face,
     GridBlock,
     SceneProgram,
+    parse_llmsli,
     print_llmsli,
     program_hash,
 )
@@ -39,6 +40,7 @@ from .llmslb import (
     StructSymbol,
     WallFace,
     check_closure,
+    parse_llmslb,
     print_llmslb,
     wall_runs,
 )
@@ -132,7 +134,16 @@ def compile_placement(
     ceiling_height_m: float = DEFAULT_CEILING_HEIGHT_M,
 ) -> OrientedBox:
     """World box of a single root-grid cell."""
-    entry = _resolve(cell, vocab, at)
+    return _root_box(cell, _resolve(cell, vocab, at), at, grid, ceiling_height_m)
+
+
+def _root_box(
+    cell: CellSpec,
+    entry: VocabEntry,
+    at: tuple[int, int],
+    grid: GridSpec,
+    ceiling_height_m: float,
+) -> OrientedBox:
     size = _cell_size(cell, entry)
     i, j = at
     x, y = grid.cell_center(i, j)
@@ -233,14 +244,48 @@ def _cell_size(cell: CellSpec, entry: VocabEntry) -> Vec3:
 # whole-program compilation
 
 
-class _IdAllocator:
-    def __init__(self) -> None:
+class _Lowering:
+    """Id counters and placement list shared by one program's compilation."""
+
+    def __init__(self, blocks: dict[str, GridBlock], vocab: Vocabulary) -> None:
+        self.blocks = blocks
+        self.vocab = vocab
+        self.placements: list[Placement] = []
         self._counts: dict[str, int] = {}
 
-    def __call__(self, identifier: str) -> str:
+    def new_id(self, identifier: str) -> str:
         n = self._counts.get(identifier, 0)
         self._counts[identifier] = n + 1
         return f"{identifier}_{n}"
+
+    def place_block(
+        self,
+        host: OrientedBox,
+        face: Face,
+        name: str,
+        parent: str | None,
+        depth: int,
+        recorded_face: Face | WallFace | None = None,
+    ) -> list[Placement]:
+        """Anchor block `name` on `face` of `host` and append one placement per
+        occupied cell, each followed depth-first by its own sub-layouts.
+        Returns the block's own placements, without their descendants."""
+        made = []
+        for child in anchor_sublayout(host, face, self.blocks[name], self.vocab):
+            placement = Placement(
+                id=self.new_id(child.entry.identifier),
+                identifier=child.entry.identifier,
+                category=child.entry.category,
+                box=compose_frames(host, child.local_box),
+                parent=parent,
+                depth=depth,
+                source=Provenance(name, child.row, child.col, depth, recorded_face or face),
+            )
+            self.placements.append(placement)
+            made.append(placement)
+            for sub, sub_face in child.cell.sublayout_refs:
+                self.place_block(placement.box, sub_face, sub, placement.id, depth + 1)
+        return made
 
 
 def compile_scene(
@@ -249,63 +294,38 @@ def compile_scene(
     """Deterministically lower an indoor program: root cells row-major, then each
     placement's sub-layouts depth-first in face order."""
     config = config or CompilerConfig()
-    alloc = _IdAllocator()
-    placements: list[Placement] = []
+    lowering = _Lowering(p.blocks, vocab)
     warnings: list[str] = []
 
     for i, j, cell in p.main.occupied():
         entry = _resolve(cell, vocab, (i, j))
-        box = compile_placement(cell, (i, j), p.grid, vocab, config.ceiling_height_m)
-        pid = alloc(entry.identifier)
+        pid = lowering.new_id(entry.identifier)
         if entry.category in (Category.SURFACE_ITEM, Category.WALL_MOUNTED):
             warnings.append(
                 f"{entry.category.value} '{pid}' placed on the root grid at ({i},{j}) "
                 "rests on the floor"
             )
-        placement = Placement(
-            id=pid,
-            identifier=entry.identifier,
-            category=entry.category,
-            box=box,
-            parent=None,
-            depth=0,
-            source=Provenance("main", i, j, 0),
+        box = _root_box(cell, entry, (i, j), p.grid, config.ceiling_height_m)
+        lowering.placements.append(
+            Placement(
+                id=pid,
+                identifier=entry.identifier,
+                category=entry.category,
+                box=box,
+                parent=None,
+                depth=0,
+                source=Provenance("main", i, j, 0),
+            )
         )
-        placements.append(placement)
-        _expand(placement, cell, p.blocks, vocab, alloc, placements)
+        for name, face in cell.sublayout_refs:
+            lowering.place_block(box, face, name, pid, 1)
 
     return CompiledScene(
         grid=p.grid,
-        placements=tuple(placements),
+        placements=tuple(lowering.placements),
         provenance=program_hash(print_llmsli(p)),
         warnings=tuple(warnings),
     )
-
-
-def _expand(
-    parent: Placement,
-    cell: CellSpec,
-    blocks: dict[str, GridBlock],
-    vocab: Vocabulary,
-    alloc: _IdAllocator,
-    placements: list[Placement],
-) -> None:
-    for name, face in cell.sublayout_refs:
-        block = blocks[name]
-        for child in anchor_sublayout(parent.box, face, block, vocab):
-            world = compose_frames(parent.box, child.local_box)
-            pid = alloc(child.entry.identifier)
-            placement = Placement(
-                id=pid,
-                identifier=child.entry.identifier,
-                category=child.entry.category,
-                box=world,
-                parent=parent.id,
-                depth=parent.depth + 1,
-                source=Provenance(name, child.row, child.col, parent.depth + 1, face),
-            )
-            placements.append(placement)
-            _expand(placement, child.cell, blocks, vocab, alloc, placements)
 
 
 def _run_box(run: Run, g: float, thickness: float, height: float) -> OrientedBox:
@@ -381,8 +401,7 @@ def compile_building(
     warnings = [d.message for d in check_closure(b)]
     openings: list[Opening] = []
     kind_counts = {"door": 0, "window": 0}
-    alloc = _IdAllocator()
-    placements: list[Placement] = []
+    lowering = _Lowering(b.blocks, vocab)
     outside = _exterior_cells(b)
     n_rows, n_cols = len(b.cells), len(b.cells[0])
 
@@ -446,24 +465,9 @@ def compile_building(
         else:
             face_normals = {WallFace.INNER: neg_n, WallFace.OUTER: pos_n}
 
-        parent = structural[run_idx]
         for name, wall_face in cell.sublayout_refs:
             face = _NORMAL_TO_FACE[face_normals[wall_face]]
-            block = b.blocks[name]
-            for child in anchor_sublayout(segment, face, block, vocab):
-                world = compose_frames(segment, child.local_box)
-                pid = alloc(child.entry.identifier)
-                placement = Placement(
-                    id=pid,
-                    identifier=child.entry.identifier,
-                    category=child.entry.category,
-                    box=world,
-                    parent=parent.id,
-                    depth=1,
-                    source=Provenance(name, child.row, child.col, 1, wall_face),
-                )
-                placements.append(placement)
-                _expand(placement, child.cell, b.blocks, vocab, alloc, placements)
+            lowering.place_block(segment, face, name, run_ids[run_idx], 1, wall_face)
 
     if b.ceiling_block is not None:
         slab = OrientedBox(
@@ -475,29 +479,15 @@ def compile_building(
             size=Vec3(n_rows * g, n_cols * g, _CEILING_SLAB_M),
             yaw=0.0,
         )
-        block = b.blocks[b.ceiling_block]
-        for child in anchor_sublayout(slab, Face.BOTTOM, block, vocab):
-            world = compose_frames(slab, child.local_box)
-            pid = alloc(child.entry.identifier)
-            if child.entry.category is not Category.CEILING_MOUNTED:
+        for placement in lowering.place_block(slab, Face.BOTTOM, b.ceiling_block, None, 0):
+            if placement.category is not Category.CEILING_MOUNTED:
                 warnings.append(
-                    f"{child.entry.category.value} '{pid}' hangs from the ceiling plane"
+                    f"{placement.category.value} '{placement.id}' hangs from the ceiling plane"
                 )
-            placement = Placement(
-                id=pid,
-                identifier=child.entry.identifier,
-                category=child.entry.category,
-                box=world,
-                parent=None,
-                depth=0,
-                source=Provenance(b.ceiling_block, child.row, child.col, 0, Face.BOTTOM),
-            )
-            placements.append(placement)
-            _expand(placement, child.cell, b.blocks, vocab, alloc, placements)
 
     return CompiledScene(
         grid=b.grid,
-        placements=tuple(placements),
+        placements=tuple(lowering.placements),
         structural=tuple(structural),
         openings=tuple(openings),
         provenance=program_hash(print_llmslb(b)),
@@ -505,16 +495,17 @@ def compile_building(
     )
 
 
+def parse_source(text: str) -> SceneProgram | BuildingProgram:
+    """Parse either language, dispatched on the header keyword."""
+    head = text.lstrip().split(None, 1)[0] if text.strip() else ""
+    return parse_llmslb(text) if head == "llmslb" else parse_llmsli(text)
+
+
 def compile_source(
     text: str, vocab: Vocabulary, config: CompilerConfig | None = None
 ) -> tuple[SceneProgram | BuildingProgram, CompiledScene]:
     """Parse and compile either language, dispatched on the header keyword."""
-    from .llmsli import parse_llmsli
-    from .llmslb import parse_llmslb
-
-    head = text.lstrip().split(None, 1)[0] if text.strip() else ""
-    if head == "llmslb":
-        building = parse_llmslb(text)
-        return building, compile_building(building, vocab, config)
-    program = parse_llmsli(text)
+    program = parse_source(text)
+    if isinstance(program, BuildingProgram):
+        return program, compile_building(program, vocab, config)
     return program, compile_scene(program, vocab, config)

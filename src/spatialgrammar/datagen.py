@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .compiler import compile_scene
@@ -386,6 +385,8 @@ def generate_sft_dataset(
             if consume([_sample_or_none(arg)]):
                 break
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         block = max(workers * 8, 32)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for start in range(0, budget, block):
@@ -429,25 +430,8 @@ def dpo_records(pairs: list[DpoPair]) -> list[dict]:
     ]
 
 
-def write_jsonl(records: list[dict], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
-
-
 def jsonl_bytes(records: list[dict]) -> bytes:
     lines = [
         json.dumps(record, sort_keys=True, separators=(",", ":")) for record in records
     ]
     return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
-
-
-def read_jsonl(path: str) -> list[dict]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out

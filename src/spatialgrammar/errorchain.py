@@ -417,15 +417,24 @@ def generate_dpo_pairs(
     seed: int,
     vocab: Vocabulary | None = None,
     template: SceneTemplate | None = None,
-    pairs_per_sample: int = 1,
+    n: int | None = None,
 ) -> list[DpoPair]:
-    """One (or more) verified preference pairs per sample; failures are
-    logged and skipped."""
+    """Exactly n distinct verified preference pairs (default one per sample).
+
+    Variant v of sample i uses sub-seed hash(seed, "dpo<v>", i); variant 0 runs
+    over every sample, then variant 1, and so on until n pairs are kept.  A
+    pair whose (chosen, rejected) is already kept is skipped.  Raises
+    ChainFailed when a whole variant round adds no pair."""
     vocab = vocab or load_vocabulary()
+    n = len(samples) if n is None else n
     out: list[DpoPair] = []
-    failed = 0
-    for variant in range(pairs_per_sample):
+    seen: set[tuple[str, str]] = set()
+    attempts = failed = 0
+    variant = 0
+    while len(out) < n:
+        kept = len(out)
         for index, sample in enumerate(samples):
+            attempts += 1
             try:
                 rejected, errors = error_chain(
                     sample.code,
@@ -436,6 +445,9 @@ def generate_dpo_pairs(
             except ChainFailed:
                 failed += 1
                 continue
+            if (sample.code, rejected) in seen:
+                continue
+            seen.add((sample.code, rejected))
             out.append(
                 DpoPair(
                     prompt=sample.prompt,
@@ -444,6 +456,13 @@ def generate_dpo_pairs(
                     injected_errors=tuple(errors),
                 )
             )
+            if len(out) == n:
+                break
+        if len(out) == kept:
+            raise ChainFailed(
+                f"variant {variant} added no pair; only {kept} of {n} pairs possible"
+            )
+        variant += 1
     if failed:
-        log.warning("error chain gave up on %d of %d attempts", failed, failed + len(out))
+        log.warning("error chain gave up on %d of %d attempts", failed, attempts)
     return out

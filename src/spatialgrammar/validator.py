@@ -10,6 +10,7 @@ every axis.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .compiler import CompiledScene, Placement
@@ -290,11 +291,15 @@ def check_bounds(
 def collision_rate(s: CompiledScene, eps: float = EPS_DEFAULT) -> float:
     """Percentage of non-structural placements involved in at least one
     collision, rounded to one decimal.  Empty scenes rate 0."""
+    return _collision_rate(s, check_collisions(s, eps))
+
+
+def _collision_rate(s: CompiledScene, collisions: Iterable[CollisionDiagnostic]) -> float:
     if not s.placements:
         return 0.0
     object_ids = {p.id for p in s.placements}
     involved: set[str] = set()
-    for c in check_collisions(s, eps):
+    for c in collisions:
         involved.update({c.a_id, c.b_id} & object_ids)
     return round(100.0 * len(involved) / len(s.placements), 1)
 
@@ -311,17 +316,12 @@ def validate(s: CompiledScene, config: ValidatorConfig | None = None) -> Validat
             building=s if s.structural else None,
         )
     )
-    object_ids = {p.id for p in s.placements}
-    involved: set[str] = set()
-    for c in collisions:
-        involved.update({c.a_id, c.b_id} & object_ids)
-    rate = round(100.0 * len(involved) / len(s.placements), 1) if s.placements else 0.0
     return ValidationReport(
         collisions=collisions,
         support_failures=support,
         bounds_violations=bounds,
         warnings=tuple(s.warnings),
-        cr_obj_percent=rate,
+        cr_obj_percent=_collision_rate(s, collisions),
         passed=not (collisions or support or bounds),
     )
 

@@ -351,7 +351,7 @@ def test_criterion_08_corpus_scale():
         for s in samples:
             _, scene = compile_source(s.code, VOCAB)
             assert validate(scene).passed
-        pairs = generate_dpo_pairs(samples, 27182, VOCAB, tpl, pairs_per_sample=4)[:9_000]
+        pairs = generate_dpo_pairs(samples, 27182, VOCAB, tpl, n=9_000)
         assert len(pairs) == 9_000
         assert all(classify_failure(p.rejected, VOCAB) != "none" for p in pairs)
         assert time.monotonic() - t0 < 600.0

@@ -255,6 +255,39 @@ class TestGenData:
         assert a.read_bytes() == b.read_bytes()
 
 
+    def test_dpo_records_distinct(self, tmp_path, capsysbinary):
+        out = tmp_path / "dpo.jsonl"
+        argv = ["gen-data", "--template", "bedroom", "--stage", "dpo", "--n", "45"]
+        argv += ["--base-n", "14", "--seed", "2024", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        capsysbinary.readouterr()
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 45
+        assert len(set(lines)) == 45
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--n", "0"],
+            ["--n", "0", "--stage", "dpo"],
+            ["--n", "-3", "--stage", "pretrain"],
+            ["--n", "4", "--base-n", "0", "--stage", "dpo"],
+        ],
+    )
+    def test_counts_below_one_rejected(self, extra, tmp_path):
+        out = tmp_path / "never.jsonl"
+        argv = ["gen-data", "--template", "living_room", "--seed", "3", "--out", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "spatialgrammar.cli", *argv, *extra],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert not out.exists()
+
+
 class TestEval:
     def test_single_turn(self, room, tmp_path, capsysbinary):
         checklist = tmp_path / "cl.json"

@@ -476,6 +476,47 @@ class TestCeilingBlock:
         assert any("not a closed loop" in w for w in scene.warnings)
 
 
+class TestBuildingLowering:
+    """Ids, parents, depths and provenance for every way a building places
+    non-structural objects: wall faces, nesting under a mount, and the ceiling."""
+
+    SRC = (
+        "llmslb grid=1m dims=5x5 ceiling=Top\nmain:\n"
+        "w w w w w\n"
+        "w 0 0 0 w\n"
+        "w(Shelf_on_inner) 0 0 0 w(AC_on_outer)\n"
+        "w 0 0 0 w\n"
+        "w w w w w\n"
+        "sublayout Shelf dims=1x1:\nwall_shelf(Deco_on_top)\n"
+        "sublayout Deco dims=1x2:\nvase book_stack\n"
+        "sublayout AC dims=1x1:\nair_conditioner\n"
+        "sublayout Top dims=1x2:\npendant_light(Shade_on_bottom) plant\n"
+        "sublayout Shade dims=1x1:\nmug\n"
+    )
+
+    def test_placement_tree(self, vocab):
+        scene = compile_building(parse_llmslb(self.SRC), vocab)
+        got = [
+            (
+                p.id,
+                p.parent,
+                p.depth,
+                (p.source.block, p.source.row, p.source.col, p.source.depth, p.source.face),
+            )
+            for p in scene.placements
+        ]
+        assert got == [
+            ("wall_shelf_0", "wall_0", 1, ("Shelf", 0, 0, 1, WallFace.INNER)),
+            ("vase_0", "wall_shelf_0", 2, ("Deco", 0, 0, 2, Face.TOP)),
+            ("book_stack_0", "wall_shelf_0", 2, ("Deco", 0, 1, 2, Face.TOP)),
+            ("air_conditioner_0", "wall_1", 1, ("AC", 0, 0, 1, WallFace.OUTER)),
+            ("pendant_light_0", None, 0, ("Top", 0, 0, 0, Face.BOTTOM)),
+            ("mug_0", "pendant_light_0", 1, ("Shade", 0, 0, 1, Face.BOTTOM)),
+            ("plant_0", None, 0, ("Top", 0, 1, 0, Face.BOTTOM)),
+        ]
+        assert scene.warnings == ("floor_furniture 'plant_0' hangs from the ceiling plane",)
+
+
 class TestCompileSource:
     def test_dispatch_indoor(self, vocab):
         program, scene = compile_source(make_room("sofa"), vocab)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import pytest
 
@@ -10,9 +11,7 @@ from spatialgrammar.datagen import (
     extract_sft_pairs,
     generate_sft_dataset,
     jsonl_bytes,
-    read_jsonl,
     sample_scene,
-    write_jsonl,
 )
 from spatialgrammar.errors import TemplateExhausted
 from spatialgrammar.llmsli import parse_llmsli, print_llmsli
@@ -231,13 +230,11 @@ class TestExtraction:
         pairs = extract_sft_pairs(samples)
         assert all(set(p) == {"schema_version", "prompt", "code"} for p in pairs)
 
-    def test_jsonl_round_trip(self, tmp_path, living_room, vocab):
+    def test_jsonl_round_trip(self, living_room, vocab):
         samples = generate_sft_dataset(living_room, 3, seed=4, vocab=vocab)
         records = extract_sft_pairs(samples)
-        path = tmp_path / "out.jsonl"
-        write_jsonl(records, str(path))
-        assert read_jsonl(str(path)) == records
-        assert path.read_bytes() == jsonl_bytes(records)
+        lines = jsonl_bytes(records).decode("utf-8").splitlines()
+        assert [json.loads(line) for line in lines] == records
 
     def test_jsonl_bytes_sorted_compact(self):
         assert jsonl_bytes([{"b": 1, "a": 2}]) == b'{"a":2,"b":1}\n'

@@ -10,7 +10,7 @@ from spatialgrammar.errorchain import (
     generate_dpo_pairs,
     inject_error,
 )
-from spatialgrammar.errors import ParseError
+from spatialgrammar.errors import ChainFailed, ParseError
 from spatialgrammar.llmsli import parse_llmsli
 from spatialgrammar.relations import check_relation
 from spatialgrammar.templates import load_template
@@ -202,12 +202,24 @@ class TestDpoPairs:
         assert a == b
 
     def test_multiple_variants(self, samples, vocab, living_room):
-        pairs = generate_dpo_pairs(
-            samples[:4], seed=3, vocab=vocab, template=living_room, pairs_per_sample=2
-        )
+        pairs = generate_dpo_pairs(samples[:4], seed=3, vocab=vocab, template=living_room, n=8)
         assert len(pairs) > 4  # most samples corrupt cleanly twice
         rejected = [p.rejected for p in pairs]
         assert len(set(rejected)) == len(rejected)
+
+    def test_n_is_a_prefix(self, samples, vocab, living_room):
+        longer = generate_dpo_pairs(samples[:3], seed=4, vocab=vocab, template=living_room, n=7)
+        assert len(longer) == 7
+        for k in (1, 3, 5):
+            shorter = generate_dpo_pairs(
+                samples[:3], seed=4, vocab=vocab, template=living_room, n=k
+            )
+            assert shorter == longer[:k]
+
+    def test_no_samples(self, vocab, living_room):
+        assert generate_dpo_pairs([], seed=1, vocab=vocab, template=living_room) == []
+        with pytest.raises(ChainFailed):
+            generate_dpo_pairs([], seed=1, vocab=vocab, template=living_room, n=1)
 
     def test_variant_seeds_differ(self):
         assert derive_subseed(3, "dpo0", 1) != derive_subseed(3, "dpo1", 1)
