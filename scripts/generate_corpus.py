@@ -42,6 +42,12 @@ def main() -> int:
     ap.add_argument("--workers", type=int, default=0)
     ap.add_argument("--vocab", default=None, help="path to an object vocabulary TSV")
     args = ap.parse_args()
+    for flag, value, least in (
+        ("--sft-n", args.sft_n, 1), ("--dpo-n", args.dpo_n, 1), ("--workers", args.workers, 0)
+    ):
+        if value < least:
+            print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
+            return 2
 
     vocab = load_vocabulary(args.vocab)
     template = load_template(args.template, vocab)

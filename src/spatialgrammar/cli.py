@@ -95,7 +95,7 @@ def _emit(data: bytes, output: str | None) -> None:
 
 def _cmd_compile(args) -> int:
     vocab = load_vocabulary(args.vocab)
-    config = CompilerConfig(ceiling_height_m=args.ceiling) if args.ceiling else None
+    config = None if args.ceiling is None else CompilerConfig(ceiling_height_m=args.ceiling)
     _, scene = compile_source(_read(args.file), vocab, config)
     for w in scene.warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -146,9 +146,10 @@ def _cmd_gen_data(args) -> int:
         jsonl_bytes,
     )
 
-    for flag, value in (("--n", args.n), ("--base-n", args.base_n)):
-        if value is not None and value < 1:
-            print(f"error: {flag} must be at least 1, got {value}", file=sys.stderr)
+    for flag, value, least in (("--n", args.n, 1), ("--base-n", args.base_n, 1),
+                               ("--workers", args.workers, 0)):
+        if value is not None and value < least:
+            print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
             return EXIT_USAGE
     vocab = load_vocabulary(args.vocab)
     template = load_template(args.template, vocab)
@@ -225,11 +226,14 @@ def main(argv: list[str] | None = None) -> int:
     except SpatialGrammarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON input: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

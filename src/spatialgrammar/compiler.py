@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import CompileError, EmptyBlockError, FaceDimensionError, VocabError
+from .errors import CompileError, ConfigError, EmptyBlockError, FaceDimensionError, VocabError
 from .geometry import GridSpec, OrientedBox, Vec3, normalize_yaw, normalize_yaw_rad
 from .llmsli import (
     CellSpec,
@@ -54,6 +54,11 @@ _CEILING_SLAB_M = 0.2  # virtual slab used to hang ceiling blocks
 @dataclass(frozen=True)
 class CompilerConfig:
     ceiling_height_m: float = DEFAULT_CEILING_HEIGHT_M
+
+    def __post_init__(self) -> None:
+        h = self.ceiling_height_m
+        if not (math.isfinite(h) and h > 0):
+            raise ConfigError(f"ceiling height must be finite and positive, got {h!r}")
 
 
 @dataclass(frozen=True)

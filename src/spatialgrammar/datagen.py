@@ -22,7 +22,7 @@ from .geometry import OrientedBox, Vec3
 from .llmsli import parse_llmsli, print_llmsli
 from .relations import RELATIONS
 from .templates import SceneTemplate, SurfaceRule
-from .validator import obb_intersect, validate
+from .validator import Footprint, footprint, footprint_intersect, validate
 from .vocab import Vocabulary, load_vocabulary
 
 SCHEMA_VERSION = 1
@@ -63,15 +63,19 @@ class _Draft:
         self.vocab = vocab
         self.cells: dict[str, tuple[int, int, int]] = {}  # ident -> (i, j, yaw_deg)
         self.boxes: dict[str, OrientedBox] = {}
+        self.prints: list[Footprint] = []  # footprint() of each placed box
         self.order: list[str] = []
         self.active_rules: list = []
 
     def occupied(self) -> set[tuple[int, int]]:
         return {(i, j) for i, j, _ in self.cells.values()}
 
-    def place(self, ident: str, i: int, j: int, yaw: int, box: OrientedBox) -> None:
+    def place(
+        self, ident: str, i: int, j: int, yaw: int, box: OrientedBox, fp: Footprint
+    ) -> None:
         self.cells[ident] = (i, j, yaw)
         self.boxes[ident] = box
+        self.prints.append(fp)
         self.order.append(ident)
 
 
@@ -145,11 +149,9 @@ def _try_layout(t: SceneTemplate, rng: random.Random, vocab: Vocabulary) -> _Dra
     for ident in _placement_order(chosen, active, rng):
         entry = vocab.lookup(ident)
         constraints = [r for r in active if r.subject == ident]
+        occupied = draft.occupied()
         free = [
-            (i, j)
-            for i in range(grid.rows)
-            for j in range(grid.cols)
-            if (i, j) not in draft.occupied()
+            (i, j) for i in range(grid.rows) for j in range(grid.cols) if (i, j) not in occupied
         ]
         rng.shuffle(free)
         done = False
@@ -163,13 +165,12 @@ def _try_layout(t: SceneTemplate, rng: random.Random, vocab: Vocabulary) -> _Dra
                     size=entry.default_size,
                     yaw=math.radians(yaw),
                 )
-                if any(
-                    obb_intersect(box, other) is not None for other in draft.boxes.values()
-                ):
+                fp = footprint(box)
+                if any(footprint_intersect(fp, other) is not None for other in draft.prints):
                     continue
                 if not all(_rule_holds(r, draft, box) for r in constraints):
                     continue
-                draft.place(ident, i, j, yaw, box)
+                draft.place(ident, i, j, yaw, box, fp)
                 done = True
                 break
             if done:

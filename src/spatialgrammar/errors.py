@@ -83,6 +83,10 @@ class ZeroCellSize(SpatialGrammarError):
     """Grid cell size must be strictly positive."""
 
 
+class ConfigError(SpatialGrammarError):
+    """A compiler or validator setting is out of range."""
+
+
 class CompileError(SpatialGrammarError):
     """Program is well-formed but cannot be lowered to a scene."""
 

@@ -14,6 +14,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .compiler import CompiledScene, Placement
+from .errors import ConfigError
 from .geometry import OrientedBox
 from .llmsli import Face
 from .vocab import Category
@@ -27,6 +28,10 @@ class ValidatorConfig:
     eps: float = EPS_DEFAULT
     tol: float = TOL_DEFAULT
     floor_extent_m: tuple[float, float] | None = None
+
+    def __post_init__(self) -> None:
+        _check_tolerance("eps", self.eps)
+        _check_tolerance("tol", self.tol)
 
 
 @dataclass(frozen=True)
@@ -122,36 +127,76 @@ class ValidationReport:
 # ---------------------------------------------------------------------------
 # intersection
 
+# Boxes whose ground-plane AABBs are apart by more than this are disjoint by
+# a margin far above the rounding of the separating-axis test, so dropping
+# them changes no verdict at any eps >= 0.  check_bounds allows the same slack.
+_SLACK = 1e-9
 
-def _axis_overlap(a: OrientedBox, b: OrientedBox, ax: float, ay: float) -> float:
-    """Signed overlap of the two footprints projected on a unit in-plane axis."""
-    a_lo = a_hi = None
-    for cx, cy in a.footprint_corners():
-        t = cx * ax + cy * ay
-        a_lo = t if a_lo is None or t < a_lo else a_lo
-        a_hi = t if a_hi is None or t > a_hi else a_hi
-    b_lo = b_hi = None
-    for cx, cy in b.footprint_corners():
-        t = cx * ax + cy * ay
-        b_lo = t if b_lo is None or t < b_lo else b_lo
-        b_hi = t if b_hi is None or t > b_hi else b_hi
-    return min(a_hi, b_hi) - max(a_lo, b_lo)
+# (bottom_z, top_z, corners, face axes, min_x, max_x, min_y, max_y)
+Footprint = tuple
+
+
+def footprint(box: OrientedBox) -> Footprint:
+    """Everything the collision test reads of one box, computed once per box."""
+    corners = box.footprint_corners()
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    xs = [x for x, _ in corners]
+    ys = [y for _, y in corners]
+    return (
+        box.bottom_z,
+        box.top_z,
+        corners,
+        ((c, s), (-s, c)),
+        min(xs),
+        max(xs),
+        min(ys),
+        max(ys),
+    )
+
+
+def footprint_intersect(a: Footprint, b: Footprint, eps: float = EPS_DEFAULT) -> float | None:
+    """obb_intersect on boxes already reduced by footprint()."""
+    depth = min(a[1], b[1]) - max(a[0], b[0])
+    if depth <= eps:
+        return None
+    a_corners, b_corners = a[2], b[2]
+    for ax, ay in a[3] + b[3]:
+        a_t = [cx * ax + cy * ay for cx, cy in a_corners]
+        b_t = [cx * ax + cy * ay for cx, cy in b_corners]
+        overlap = min(max(a_t), max(b_t)) - max(min(a_t), min(b_t))
+        if overlap <= eps:
+            return None
+        depth = min(depth, overlap)
+    return depth
 
 
 def obb_intersect(a: OrientedBox, b: OrientedBox, eps: float = EPS_DEFAULT) -> float | None:
     """Penetration depth when the boxes overlap by more than eps on every
     candidate axis, else None.  Exact for yaw-only boxes."""
-    depth = min(a.top_z, b.top_z) - max(a.bottom_z, b.bottom_z)
-    if depth <= eps:
-        return None
-    for yaw in (a.yaw, b.yaw):
-        c, s = math.cos(yaw), math.sin(yaw)
-        for ax, ay in ((c, s), (-s, c)):
-            overlap = _axis_overlap(a, b, ax, ay)
-            if overlap <= eps:
-                return None
-            depth = min(depth, overlap)
-    return depth
+    return footprint_intersect(footprint(a), footprint(b), eps)
+
+
+def _candidate_pairs(prints: list[Footprint]) -> list[tuple[int, int]]:
+    """Sweep and prune: every (i, j), i < j, whose AABBs are not apart by
+    more than _SLACK on x or y, in ascending order."""
+    order = sorted(range(len(prints)), key=lambda k: prints[k][4])
+    active: list[int] = []
+    pairs: list[tuple[int, int]] = []
+    for j in order:
+        b = prints[j]
+        active = [i for i in active if b[4] <= prints[i][5] + _SLACK]
+        for i in active:
+            a = prints[i]
+            if a[6] <= b[7] + _SLACK and b[6] <= a[7] + _SLACK:
+                pairs.append((i, j) if i < j else (j, i))
+        active.append(j)
+    pairs.sort()
+    return pairs
+
+
+def _check_tolerance(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -174,41 +219,46 @@ def _ancestors(p: Placement, by_id: dict[str, Placement]) -> set[str]:
 
 
 def check_collisions(s: CompiledScene, eps: float = EPS_DEFAULT) -> list[CollisionDiagnostic]:
-    """All unordered pairs except ancestor chains and wall joints.
+    """All unordered pairs except ancestor chains and wall joints, in (i, j)
+    order over all_placements().
 
-    Wall boxes only ever overlap each other at shared corner cells, which are
-    legal joints, so structural-structural pairs are skipped wholesale.
+    A sweep-and-prune pass over ground-plane AABBs picks the candidate pairs;
+    the separating-axis test decides each.  Wall boxes only ever overlap each
+    other at shared corner cells, which are legal joints, so
+    structural-structural pairs are skipped wholesale.
     """
+    _check_tolerance("eps", eps)
     everything = s.all_placements()
     by_id = {p.id: p for p in everything}
     ancestors = {p.id: _ancestors(p, by_id) for p in everything}
+    prints = [footprint(p.box) for p in everything]
     out: list[CollisionDiagnostic] = []
-    for i, a in enumerate(everything):
-        for b in everything[i + 1 :]:
-            if a.category is Category.STRUCTURAL and b.category is Category.STRUCTURAL:
-                continue
-            if b.id in ancestors[a.id] or a.id in ancestors[b.id]:
-                continue
-            depth = obb_intersect(a.box, b.box, eps)
-            if depth is None:
-                continue
-            first, second = (a, b) if a.id < b.id else (b, a)
-            cell = (second.source.row, second.source.col)
-            name_a = _display(first.id)
-            message = (
-                f"{name_a[:1].upper()}{name_a[1:]} overlaps with {_display(second.id)} "
-                f"at position ({cell[0]},{cell[1]})"
+    for i, j in _candidate_pairs(prints):
+        a, b = everything[i], everything[j]
+        if a.category is Category.STRUCTURAL and b.category is Category.STRUCTURAL:
+            continue
+        if b.id in ancestors[a.id] or a.id in ancestors[b.id]:
+            continue
+        depth = footprint_intersect(prints[i], prints[j], eps)
+        if depth is None:
+            continue
+        first, second = (a, b) if a.id < b.id else (b, a)
+        cell = (second.source.row, second.source.col)
+        name_a = _display(first.id)
+        message = (
+            f"{name_a[:1].upper()}{name_a[1:]} overlaps with {_display(second.id)} "
+            f"at position ({cell[0]},{cell[1]})"
+        )
+        out.append(
+            CollisionDiagnostic(
+                a_id=first.id,
+                b_id=second.id,
+                a_cell=(first.source.row, first.source.col),
+                b_cell=cell,
+                penetration_depth_m=depth,
+                message=message,
             )
-            out.append(
-                CollisionDiagnostic(
-                    a_id=first.id,
-                    b_id=second.id,
-                    a_cell=(first.source.row, first.source.col),
-                    b_cell=cell,
-                    penetration_depth_m=depth,
-                    message=message,
-                )
-            )
+        )
     return out
 
 
@@ -271,11 +321,10 @@ def check_bounds(
     else:
         hi_x = (s.grid.rows - 0.5) * g
         hi_y = (s.grid.cols - 0.5) * g
-    slack = 1e-9
     out: list[BoundsDiagnostic] = []
     for p in s.placements:
         for cx, cy in p.box.footprint_corners():
-            if lo_x - slack <= cx <= hi_x + slack and lo_y - slack <= cy <= hi_y + slack:
+            if lo_x - _SLACK <= cx <= hi_x + _SLACK and lo_y - _SLACK <= cy <= hi_y + _SLACK:
                 continue
             out.append(
                 BoundsDiagnostic(

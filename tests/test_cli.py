@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,24 @@ BROKEN_RING = (
     "llmslb grid=1m dims=4x4\nmain:\n"
     "w w 0 w\nw 0 0 w\nw 0 0 w\nw w w w\n"
 )
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def run_python(*argv: str) -> subprocess.CompletedProcess:
+    """Run python with the package on the path, as a user would from the shell."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, cwd=REPO
+    )
+
+
+def assert_usage_error(proc: subprocess.CompletedProcess) -> None:
+    assert proc.returncode == EXIT_USAGE
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
 
 
 @pytest.fixture()
@@ -87,6 +107,14 @@ class TestCompile:
         top = doc["placements"][0]["center"][2] + doc["placements"][0]["size"][2] / 2
         assert top == pytest.approx(3.0, abs=1e-6)
 
+    @pytest.mark.parametrize("ceiling", ["0", "-1", "nan", "inf"])
+    def test_bad_ceiling_rejected(self, ceiling, tmp_path):
+        path = tmp_path / "light.sg"
+        path.write_text("llmsli grid=1m dims=1x1\nmain:\npendant_light\n", encoding="utf-8")
+        proc = run_python("-m", "spatialgrammar.cli", "compile", str(path), "--ceiling", ceiling)
+        assert_usage_error(proc)
+        assert proc.stdout == ""
+
 
 class TestValidate:
     def test_clean_exit_0(self, room, capsysbinary):
@@ -116,6 +144,31 @@ class TestValidate:
         # eps above the 0.5 m lengthwise overlap forgives the pair
         assert main(["validate", str(path), "--eps", "0.55"]) == EXIT_OK
         capsysbinary.readouterr()
+
+    @pytest.mark.parametrize(
+        "flag", [["--eps", "nan"], ["--eps", "inf"], ["--eps", "-0.5"], ["--tol", "nan"],
+                 ["--tol", "-0.5"]]
+    )
+    def test_bad_tolerance_rejected(self, flag, tmp_path):
+        # two sofas three cells apart: valid, and a NaN eps once called them colliding
+        path = tmp_path / "sofas.sg"
+        path.write_text(
+            "llmsli grid=1m dims=6x3\nmain:\n"
+            "0 0 0\n0 sofa 0\n0 0 0\n0 0 0\n0 sofa 0\n0 0 0\n",
+            encoding="utf-8",
+        )
+        assert run_python("-m", "spatialgrammar.cli", "validate", str(path)).returncode == EXIT_OK
+        proc = run_python("-m", "spatialgrammar.cli", "validate", str(path), *flag)
+        assert_usage_error(proc)
+        assert proc.stdout == ""
+
+    def test_directory_input(self, tmp_path):
+        assert_usage_error(run_python("-m", "spatialgrammar.cli", "validate", str(tmp_path)))
+
+    def test_non_utf8_input(self, tmp_path):
+        path = tmp_path / "latin1.sg"
+        path.write_bytes(CLEAN.replace("sofa", "sof\xe1").encode("latin-1"))
+        assert_usage_error(run_python("-m", "spatialgrammar.cli", "validate", str(path)))
 
 
 class TestCheckBuilding:
@@ -272,6 +325,7 @@ class TestGenData:
             ["--n", "0", "--stage", "dpo"],
             ["--n", "-3", "--stage", "pretrain"],
             ["--n", "4", "--base-n", "0", "--stage", "dpo"],
+            ["--n", "3", "--workers", "-4"],
         ],
     )
     def test_counts_below_one_rejected(self, extra, tmp_path):
@@ -285,6 +339,19 @@ class TestGenData:
         assert proc.returncode == EXIT_USAGE
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
+        assert not out.exists()
+
+
+
+
+class TestGenerateCorpusScript:
+    @pytest.mark.parametrize(
+        "extra", [["--sft-n", "0"], ["--dpo-n", "0"], ["--sft-n", "-2"], ["--workers", "-4"]]
+    )
+    def test_bad_counts_rejected(self, extra, tmp_path):
+        out = tmp_path / "corpus"
+        proc = run_python("scripts/generate_corpus.py", "--out", str(out), *extra)
+        assert_usage_error(proc)
         assert not out.exists()
 
 
@@ -374,6 +441,15 @@ class TestEval:
             main(["eval", "--scene", room, "--checklist", str(checklist)]) == EXIT_USAGE
         )
         capsysbinary.readouterr()
+
+
+    def test_non_utf8_checklist(self, room, tmp_path):
+        checklist = tmp_path / "cl.json"
+        checklist.write_bytes('{"checks": [{"id": "c1", "subject": "sofá"}]}'.encode("latin-1"))
+        proc = run_python(
+            "-m", "spatialgrammar.cli", "eval", "--scene", room, "--checklist", str(checklist)
+        )
+        assert_usage_error(proc)
 
 
 class TestStats:

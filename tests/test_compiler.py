@@ -13,7 +13,7 @@ from spatialgrammar.compiler import (
     compile_source,
     compose_frames,
 )
-from spatialgrammar.errors import EmptyBlockError
+from spatialgrammar.errors import ConfigError, EmptyBlockError
 from spatialgrammar.geometry import OrientedBox, Vec3
 from spatialgrammar.llmsli import Face, SceneProgram, parse_llmsli, print_llmsli, program_hash
 from spatialgrammar.llmslb import BuildingProgram, WallFace, parse_llmslb
@@ -95,6 +95,11 @@ class TestSingleCell:
         )
         box = scene.placements[0].box
         assert box.center.z + box.size.z / 2.0 == pytest.approx(3.2)
+
+    @pytest.mark.parametrize("height", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_ceiling_height_rejected(self, height):
+        with pytest.raises(ConfigError):
+            CompilerConfig(ceiling_height_m=height)
 
     def test_surface_item_at_root_warns(self, vocab):
         scene = compile_scene(

@@ -13,6 +13,7 @@ from spatialgrammar.compiler import (
     compile_building,
     compile_scene,
 )
+from spatialgrammar.errors import ConfigError
 from spatialgrammar.geometry import GridSpec, OrientedBox, Vec3
 from spatialgrammar.llmsli import parse_llmsli
 from spatialgrammar.llmslb import parse_llmslb
@@ -298,6 +299,161 @@ class TestCheckCollisions:
         assert first == second
 
 
+# ---------------------------------------------------------------------------
+# check_collisions against an all-pairs reference kept only here
+
+
+def all_pairs_collisions(scene: CompiledScene, eps: float) -> list[tuple]:
+    """Every i < j pair of all_placements() through obb_intersect, with the
+    structural and ancestor filters, as (ids, cells, depth, message) rows."""
+    everything = scene.all_placements()
+    parent = {p.id: p.parent for p in everything}
+
+    def chain(pid):
+        seen = set()
+        cur = parent[pid]
+        while cur is not None and cur not in seen:
+            seen.add(cur)
+            cur = parent.get(cur)
+        return seen
+
+    def display(pid):
+        stem, _, tail = pid.rpartition("_")
+        return (stem if stem and tail.isdigit() else pid).replace("_", " ")
+
+    rows = []
+    for i, j in itertools.combinations(range(len(everything)), 2):
+        a, b = everything[i], everything[j]
+        if a.category is Category.STRUCTURAL and b.category is Category.STRUCTURAL:
+            continue
+        if b.id in chain(a.id) or a.id in chain(b.id):
+            continue
+        depth = obb_intersect(a.box, b.box, eps)
+        if depth is None:
+            continue
+        first, second = sorted((a, b), key=lambda p: p.id)
+        name = display(first.id)
+        rows.append(
+            (
+                first.id,
+                second.id,
+                (first.source.row, first.source.col),
+                (second.source.row, second.source.col),
+                depth,
+                f"{name[:1].upper()}{name[1:]} overlaps with {display(second.id)} "
+                f"at position ({second.source.row},{second.source.col})",
+            )
+        )
+    return rows
+
+
+SHELL = (
+    "llmslb grid=1m dims=8x8\nmain:\n"
+    "w w w d w w w w\n"
+    "w 0 0 0 0 0 0 w\n"
+    "w 0 0 0 0 0 0 w\n"
+    "w 0 0 0 0 0 0 c\n"
+    "w 0 0 0 0 0 0 w\n"
+    "w 0 0 0 0 0 0 w\n"
+    "w 0 0 0 0 0 0 w\n"
+    "w w w w w w w w\n"
+)
+IDENTS = ("sofa", "chair", "coffee_table", "lamp", "box")
+
+
+def random_scene(seed: int, vocab) -> CompiledScene:
+    """50-200 boxes in and around one wall shell: arbitrary yaws, exact face
+    and edge contact, stacks touching in z, and parent-child chains whose
+    boxes interpenetrate."""
+    rng = random.Random(seed)
+    shell = compile_building(parse_llmslb(SHELL), vocab)
+    placements: list[Placement] = []
+
+    def add(box, parent=None):
+        depth = 0 if parent is None else parent.depth + 1
+        ident = rng.choice(IDENTS)
+        p = Placement(
+            id=f"{ident}_{len(placements)}",
+            identifier=ident,
+            category=Category.FLOOR_FURNITURE if parent is None else Category.SURFACE_ITEM,
+            box=box,
+            parent=None if parent is None else parent.id,
+            depth=depth,
+            source=Provenance("main" if parent is None else "Top", rng.randrange(8),
+                              rng.randrange(8), depth),
+        )
+        placements.append(p)
+        return p
+
+    def size():
+        return Vec3(rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0), rng.uniform(0.3, 1.5))
+
+    n = rng.randint(50, 200)
+    while len(placements) < n:
+        kind = rng.random()
+        if kind < 0.45:  # anywhere, any yaw, on the floor or raised
+            sz = size()
+            z = rng.choice((0.0, 0.0, rng.uniform(0.0, 1.0)))
+            add(OrientedBox(Vec3(rng.uniform(-1, 8), rng.uniform(-1, 8), z + sz.z / 2),
+                            sz, rng.uniform(0, 2 * math.pi)))
+        elif kind < 0.6:  # two boxes of one yaw, face to face along a local axis
+            sz, yaw = size(), rng.uniform(0, 2 * math.pi)
+            c, s = math.cos(yaw), math.sin(yaw)
+            x, y = rng.uniform(0, 7), rng.uniform(0, 7)
+            dx, dy = rng.choice(((sz.x * c, sz.x * s), (-sz.y * s, sz.y * c)))
+            add(OrientedBox(Vec3(x, y, sz.z / 2), sz, yaw))
+            add(OrientedBox(Vec3(x + dx, y + dy, sz.z / 2), sz, yaw))
+        elif kind < 0.75:  # unit cubes on the grid: shared faces and shared edges
+            i, j = rng.randrange(7), rng.randrange(7)
+            yaw = math.radians(rng.choice((0, 90, 180, 270)))
+            for di, dj in rng.sample(((0, 0), (1, 0), (0, 1), (1, 1)), 3):
+                add(OrientedBox(Vec3(i + di, j + dj, 0.5), Vec3(1, 1, 1), yaw))
+        elif kind < 0.85:  # a box stacked exactly on another
+            base = rng.choice(placements) if placements else None
+            if base is not None:
+                b, sz = base.box, size()
+                add(OrientedBox(Vec3(b.center.x, b.center.y, b.top_z + sz.z / 2), sz, b.yaw))
+        elif placements:  # a child and grandchild sinking into their ancestors
+            node = rng.choice(placements)
+            for _ in range(rng.randint(1, 2)):
+                b = node.box
+                sz = Vec3(b.size.x * 0.6, b.size.y * 0.6, rng.uniform(0.1, 0.5))
+                node = add(
+                    OrientedBox(Vec3(b.center.x, b.center.y, b.top_z + sz.z / 2 - 0.05), sz,
+                                b.yaw + rng.uniform(-0.3, 0.3)),
+                    parent=node,
+                )
+    return CompiledScene(
+        grid=GridSpec(1.0, 8, 8), placements=tuple(placements), structural=shell.structural
+    )
+
+
+class TestBroadPhaseEquivalence:
+    @pytest.mark.parametrize("eps", [0.0, 1e-6, 0.05])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_all_pairs(self, seed, eps, vocab):
+        scene = random_scene(seed, vocab)
+        got = [
+            (d.a_id, d.b_id, d.a_cell, d.b_cell, d.penetration_depth_m, d.message)
+            for d in check_collisions(scene, eps)
+        ]
+        want = all_pairs_collisions(scene, eps)
+        assert got == want
+        # the scene exercises walls, parent chains and plain pairs alike
+        assert any(row[1].startswith("wall_") for row in want)
+        assert any(row[0].startswith("wall_") or row[1].startswith("wall_") for row in got)
+        assert len(want) > 10
+
+    def test_ancestor_overlaps_are_present_and_exempt(self, vocab):
+        scene = random_scene(3, vocab)
+        children = [p for p in scene.placements if p.parent is not None]
+        assert children
+        by_id = {p.id: p for p in scene.placements}
+        assert any(obb_intersect(p.box, by_id[p.parent].box) is not None for p in children)
+        reported = {frozenset((d.a_id, d.b_id)) for d in check_collisions(scene)}
+        assert not any(frozenset((p.id, p.parent)) in reported for p in children)
+
+
 class TestCollisionRate:
     def test_two_of_three(self, vocab):
         src = (
@@ -463,6 +619,18 @@ class TestValidate:
         scene = scene_of_boxes([a, b])
         assert validate(scene).passed is False
         assert validate(scene, ValidatorConfig(eps=0.01)).passed is True
+
+    @pytest.mark.parametrize("field", ["eps", "tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.5])
+    def test_bad_tolerance_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            ValidatorConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -0.5])
+    def test_check_collisions_rejects_bad_eps(self, value):
+        # far-apart pairs are pruned before the SAT, which is sound only for eps >= 0
+        with pytest.raises(ConfigError):
+            check_collisions(scene_of_boxes([]), value)
 
     def test_floor_extent_config(self, vocab):
         box = OrientedBox(Vec3(0.5, 0.5, 0.5), Vec3(1, 1, 1), 0.0)
