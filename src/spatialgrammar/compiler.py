@@ -103,8 +103,18 @@ class CompiledScene:
     placements: tuple[Placement, ...]
     structural: tuple[Placement, ...] = ()
     openings: tuple[Opening, ...] = ()
-    provenance: str = ""
+    program: SceneProgram | BuildingProgram | None = field(default=None, repr=False, hash=False)
     warnings: tuple[str, ...] = ()
+
+    @property
+    def provenance(self) -> str:
+        """SHA-256 of the canonical text of the program this scene was compiled
+        from, computed on each read; "" for a scene with no program."""
+        if self.program is None:
+            return ""
+        if isinstance(self.program, BuildingProgram):
+            return program_hash(print_llmslb(self.program))
+        return program_hash(print_llmsli(self.program))
 
     def all_placements(self) -> tuple[Placement, ...]:
         return self.structural + self.placements
@@ -328,7 +338,7 @@ def compile_scene(
     return CompiledScene(
         grid=p.grid,
         placements=tuple(lowering.placements),
-        provenance=program_hash(print_llmsli(p)),
+        program=p,
         warnings=tuple(warnings),
     )
 
@@ -495,7 +505,7 @@ def compile_building(
         placements=tuple(lowering.placements),
         structural=tuple(structural),
         openings=tuple(openings),
-        provenance=program_hash(print_llmslb(b)),
+        program=b,
         warnings=tuple(warnings),
     )
 

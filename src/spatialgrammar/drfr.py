@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .compiler import CompiledScene
-from .errors import LengthMismatch
+from .errors import LengthMismatch, SchemaError
 from .relations import check_relation, resolve
 
 
@@ -38,10 +38,10 @@ class AtomicCheck:
 
     def __post_init__(self) -> None:
         if (self.relation is not None) != (self.kind is CheckKind.SPATIAL_RELATION):
-            raise ValueError("relation is given exactly for spatial_relation checks")
+            raise SchemaError("relation is given exactly for spatial_relation checks")
         needs_object = self.kind in (CheckKind.SPATIAL_RELATION, CheckKind.HIERARCHY_SUPPORT)
         if needs_object and self.object is None:
-            raise ValueError(f"{self.kind.value} checks need a reference object")
+            raise SchemaError(f"{self.kind.value} checks need a reference object")
 
     def param(self, key: str, default=None):
         for k, v in self.params:
@@ -63,12 +63,37 @@ class AtomicCheck:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AtomicCheck":
+        if not isinstance(doc, dict):
+            raise SchemaError(f"a check must be a JSON object, got {doc!r}")
+        try:
+            kind = CheckKind(doc.get("kind"))
+        except ValueError:
+            kinds = ", ".join(k.value for k in CheckKind)
+            raise SchemaError(
+                f"unknown check kind {doc.get('kind')!r}; expected one of {kinds}"
+            ) from None
+        if not isinstance(doc.get("subject"), str):
+            raise SchemaError(f"a check of kind {kind.value!r} needs a string 'subject'")
+        for key in ("object", "relation", "label"):
+            if not isinstance(doc.get(key), (str, type(None))):
+                raise SchemaError(f"check field {key!r} must be a string")
+        params = doc.get("params", {})
+        if not isinstance(params, dict):
+            raise SchemaError("check field 'params' must be a JSON object")
+        for key in ("min_size", "max_size"):
+            size = params.get(key)
+            if size is not None and not (
+                isinstance(size, list)
+                and len(size) == 3
+                and all(isinstance(v, (int, float)) for v in size)
+            ):
+                raise SchemaError(f"check param {key!r} must be a list of three numbers")
         return cls(
-            kind=CheckKind(doc["kind"]),
+            kind=kind,
             subject=doc["subject"],
             object=doc.get("object"),
             relation=doc.get("relation"),
-            params=tuple(sorted(doc.get("params", {}).items())),
+            params=tuple(sorted(params.items())),
             label=doc.get("label"),
         )
 
@@ -81,7 +106,7 @@ class Checklist:
 
     def __post_init__(self) -> None:
         if not self.checks and not self.removes:
-            raise ValueError("a checklist needs at least one check")
+            raise SchemaError("a checklist needs at least one check")
 
 
 @dataclass(frozen=True)
@@ -163,13 +188,29 @@ def load_checklists(path: str) -> list[Checklist]:
     {"turns": [{"turn_id", "checks", "removes"}, ...]}."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict) or not ("turns" in doc or "checks" in doc):
+        raise SchemaError("a checklist file holds a JSON object with 'checks' or 'turns'")
     if "turns" in doc:
-        return [
-            Checklist(
-                checks=tuple(AtomicCheck.from_dict(c) for c in turn.get("checks", [])),
-                turn_id=turn.get("turn_id"),
-                removes=tuple(turn.get("removes", ())),
-            )
-            for turn in doc["turns"]
-        ]
-    return [Checklist(checks=tuple(AtomicCheck.from_dict(c) for c in doc["checks"]))]
+        return [_turn(turn) for turn in _list_field(doc, "turns")]
+    return [Checklist(checks=_checks(doc))]
+
+
+def _list_field(doc: object, key: str) -> list:
+    if not isinstance(doc, dict):
+        raise SchemaError(f"expected a JSON object holding {key!r}, got {doc!r}")
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise SchemaError(f"{key!r} must be a JSON list")
+    return value
+
+
+def _checks(doc: object) -> tuple[AtomicCheck, ...]:
+    return tuple(AtomicCheck.from_dict(c) for c in _list_field(doc, "checks"))
+
+
+def _turn(turn: object) -> Checklist:
+    checks = _checks(turn)
+    removes = _list_field(turn, "removes")
+    if not all(isinstance(label, str) for label in removes):
+        raise SchemaError("'removes' must list check labels, which are strings")
+    return Checklist(checks=checks, turn_id=turn.get("turn_id"), removes=tuple(removes))

@@ -15,7 +15,7 @@ import logging
 import random
 from enum import Enum
 
-from .compiler import compile_scene
+from .compiler import compile_placement, compile_scene
 from .datagen import DpoPair, SftSample, derive_subseed
 from .errors import (
     ChainFailed,
@@ -28,7 +28,7 @@ from .errors import (
 from .llmsli import CellSpec, GridBlock, SceneProgram, parse_llmsli, print_llmsli
 from .relations import check_relation
 from .templates import SceneTemplate
-from .validator import obb_intersect, validate
+from .validator import check_collisions, obb_intersect, validate
 from .vocab import Vocabulary, load_vocabulary
 
 log = logging.getLogger(__name__)
@@ -70,7 +70,7 @@ def _ident_of(cell: CellSpec, vocab: Vocabulary) -> str:
 
 
 def _collisions_of(p: SceneProgram, vocab: Vocabulary) -> int:
-    return len(validate(compile_scene(p, vocab)).collisions)
+    return len(check_collisions(compile_scene(p, vocab)))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +143,7 @@ def _inject_spatial(
     if not rules:
         raise InjectionFailed("no satisfied relation rule present")
     rng.shuffle(rules)
-    baseline = len(validate(scene).collisions)
+    baseline = len(check_collisions(scene))
     positions = {
         _ident_of(cell, vocab): (i, j, cell) for i, j, cell in _main_objects(p)
     }
@@ -194,7 +194,7 @@ def _inject_spatial(
                 cscene = compile_scene(candidate, vocab)
             except SpatialGrammarError:
                 continue
-            if len(validate(cscene).collisions) != baseline:
+            if len(check_collisions(cscene)) != baseline:
                 continue
             if check_relation(cscene, rule.relation, rule.subject, rule.object):
                 continue
@@ -208,15 +208,26 @@ def _inject_spatial(
 def _inject_collision(
     p: SceneProgram, rng: random.Random, vocab: Vocabulary, template: SceneTemplate | None
 ) -> tuple[SceneProgram, str]:
-    """Relocate one object so its footprint provably overlaps another's."""
+    """Relocate one object so its footprint provably overlaps another's.
+
+    A root box depends only on its cell, its grid position and the default
+    ceiling, so each candidate move tests two boxes from compile_placement;
+    a move never changes whether the program compiles, so one compile of p
+    up front stands for them all."""
     objects = _main_objects(p)
     if len(objects) < 2:
         raise InjectionFailed("need two objects for a collision")
+    try:
+        compile_scene(p, vocab)
+    except SpatialGrammarError:
+        raise InjectionFailed("no relocation produced an overlap") from None
+    grid = p.grid
     rng.shuffle(objects)
     for ai, aj, acell in objects:
         others = [o for o in objects if (o[0], o[1]) != (ai, aj)]
         rng.shuffle(others)
         for bi, bj, bcell in others:
+            b_box = compile_placement(bcell, (bi, bj), grid, vocab)
             neighbors = [
                 (bi + di, bj + dj)
                 for di in (-1, 0, 1)
@@ -229,22 +240,10 @@ def _inject_collision(
                     continue
                 if p.main.rows[ni][nj] is not None or (ni, nj) == (ai, aj):
                     continue
+                a_box = compile_placement(acell, (ni, nj), grid, vocab)
+                if obb_intersect(a_box, b_box) is None:
+                    continue
                 moved = _with_cell(_with_cell(p, "main", ai, aj, None), "main", ni, nj, acell)
-                try:
-                    scene = compile_scene(moved, vocab)
-                except SpatialGrammarError:
-                    continue
-                a_id = None
-                b_id = None
-                for pl in scene.placements:
-                    if (pl.source.row, pl.source.col) == (ni, nj) and pl.depth == 0:
-                        a_id = pl.id
-                    if (pl.source.row, pl.source.col) == (bi, bj) and pl.depth == 0:
-                        b_id = pl.id
-                if a_id is None or b_id is None:
-                    continue
-                if obb_intersect(scene.by_id(a_id).box, scene.by_id(b_id).box) is None:
-                    continue
                 a_ident = _ident_of(acell, vocab)
                 b_ident = _ident_of(bcell, vocab)
                 return moved, (

@@ -99,6 +99,10 @@ class FaceDimensionError(CompileError):
     """Anchor face has no usable area."""
 
 
+class SchemaError(SpatialGrammarError, ValueError):
+    """A scene JSON or checklist document is valid JSON of the wrong shape."""
+
+
 class UnsupportedFormat(SpatialGrammarError):
     """Unknown export format name."""
 

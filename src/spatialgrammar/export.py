@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 
-from .errors import UnsupportedFormat, VocabError
+from .errors import SchemaError, UnsupportedFormat, VocabError
 from .geometry import GridSpec, OrientedBox, Vec3, box_corners
 from .compiler import CompiledScene, Opening, Placement, Provenance
 from .llmsli import Face
@@ -112,6 +112,15 @@ def load_scene_json(data: bytes | str, vocab: Vocabulary | None = None) -> Compi
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     doc = json.loads(data)
+    try:
+        return _scene_from_doc(doc, vocab)
+    except KeyError as exc:
+        raise SchemaError(f"scene JSON has no {exc.args[0]!r} field") from None
+    except (TypeError, ValueError, IndexError) as exc:
+        raise SchemaError(f"scene JSON does not match the export schema: {exc}") from None
+
+
+def _scene_from_doc(doc: dict, vocab: Vocabulary | None) -> CompiledScene:
     grid = GridSpec(
         cell_size_m=float(doc["grid"]["cell_size"]),
         rows=int(doc["grid"]["rows"]),

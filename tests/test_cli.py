@@ -443,6 +443,38 @@ class TestEval:
         capsysbinary.readouterr()
 
 
+    EXIST_SOFA = {"checks": [{"kind": "exist", "subject": "sofa"}]}
+
+    @pytest.mark.parametrize(
+        "scene_doc, checklist_doc",
+        [
+            ({"grid": {"cell_size": 1.0}}, EXIST_SOFA),
+            (None, {"checks": [{"kind": "exists", "subject": "sofa"}]}),
+            (None, {"checks": [{"kind": "exist"}]}),
+            (None, "scene"),
+            (None, [1, 2]),
+            (None, {"checks": [{"kind": "attribute_size", "subject": "sofa",
+                                "params": {"min_size": 3}}]}),
+        ],
+        ids=["scene-missing-key", "unknown-kind", "no-subject", "scene-as-checklist", "list",
+             "size-not-a-list"],
+    )
+    def test_bad_input_shape(self, room, tmp_path, scene_doc, checklist_doc):
+        scene = room
+        if scene_doc is not None:
+            scene = str(tmp_path / "scene.json")
+            Path(scene).write_text(json.dumps(scene_doc), encoding="utf-8")
+        checklist = tmp_path / "cl.json"
+        if checklist_doc == "scene":
+            assert main(["compile", room, "-o", str(checklist)]) == EXIT_OK
+        else:
+            checklist.write_text(json.dumps(checklist_doc), encoding="utf-8")
+        proc = run_python(
+            "-m", "spatialgrammar.cli", "eval", "--scene", scene, "--checklist", str(checklist)
+        )
+        assert_usage_error(proc)
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
     def test_non_utf8_checklist(self, room, tmp_path):
         checklist = tmp_path / "cl.json"
         checklist.write_bytes('{"checks": [{"id": "c1", "subject": "sofá"}]}'.encode("latin-1"))

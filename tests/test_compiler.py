@@ -16,7 +16,7 @@ from spatialgrammar.compiler import (
 from spatialgrammar.errors import ConfigError, EmptyBlockError
 from spatialgrammar.geometry import OrientedBox, Vec3
 from spatialgrammar.llmsli import Face, SceneProgram, parse_llmsli, print_llmsli, program_hash
-from spatialgrammar.llmslb import BuildingProgram, WallFace, parse_llmslb
+from spatialgrammar.llmslb import BuildingProgram, WallFace, parse_llmslb, print_llmslb
 from spatialgrammar.vocab import Category
 
 from conftest import make_room
@@ -306,6 +306,10 @@ class TestOrderingAndIds:
         p = parse_llmsli(NESTED)
         assert compile_scene(p, vocab) == compile_scene(p, vocab)
 
+    def test_hashable(self, vocab):
+        p = parse_llmsli(NESTED)
+        assert hash(compile_scene(p, vocab)) == hash(compile_scene(p, vocab))
+
     def test_provenance_hash(self, vocab):
         p = parse_llmsli(NESTED)
         scene = compile_scene(p, vocab)
@@ -520,6 +524,14 @@ class TestBuildingLowering:
             ("plant_0", None, 0, ("Top", 0, 1, 0, Face.BOTTOM)),
         ]
         assert scene.warnings == ("floor_furniture 'plant_0' hangs from the ceiling plane",)
+
+    def test_provenance_hash(self, vocab):
+        b = parse_llmslb(self.SRC)
+        assert compile_building(b, vocab).provenance == program_hash(print_llmslb(b))
+
+    def test_hashable(self, vocab):
+        b = parse_llmslb(self.SRC)
+        assert hash(compile_building(b, vocab)) == hash(compile_building(b, vocab))
 
 
 class TestCompileSource:

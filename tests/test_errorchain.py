@@ -1,16 +1,19 @@
+import hashlib
+
 import pytest
 
-from spatialgrammar.compiler import compile_scene
-from spatialgrammar.datagen import generate_sft_dataset, derive_subseed
+from spatialgrammar.compiler import compile_placement, compile_scene
+from spatialgrammar.datagen import derive_subseed, dpo_records, generate_sft_dataset, jsonl_bytes
 from spatialgrammar.errorchain import (
     CHAIN_ORDER,
     ErrorType,
+    _with_cell,
     classify_failure,
     error_chain,
     generate_dpo_pairs,
     inject_error,
 )
-from spatialgrammar.errors import ChainFailed, ParseError
+from spatialgrammar.errors import ChainFailed, InjectionFailed, ParseError
 from spatialgrammar.llmsli import parse_llmsli
 from spatialgrammar.relations import check_relation
 from spatialgrammar.templates import load_template
@@ -136,6 +139,55 @@ class TestInjectors:
         assert code != samples[0].code
 
 
+class TestCollisionRootBoxes:
+    """The collision injector tests two root boxes built on their own; that
+    is sound only while a root box is the same with or without its scene."""
+
+    # ceiling-mounted items, a size override, arbitrary yaws and a sub-layout
+    MIXED = (
+        "llmsli grid=1m dims=5x5\nmain:\n"
+        "sofa@90(Decor_on_top) 0 0 0 0\n"
+        "0 pendant_light 0 0 0\n"
+        "0 0 coffee_table@45[1.2x0.6x0.4] 0 0\n"
+        "0 0 0 0 ceiling_fan@30\n"
+        "0 0 0 bookshelf@270 0\n"
+        "sublayout Decor dims=1x1:\nvase\n"
+    )
+
+    def test_root_box_matches_whole_compile(self, samples, vocab):
+        for code in [self.MIXED] + [s.code for s in samples[:3]]:
+            p = parse_llmsli(code)
+            free = [
+                (i, j)
+                for i in range(p.main.n_rows)
+                for j in range(p.main.n_cols)
+                if p.main.rows[i][j] is None
+            ]
+            for ai, aj, cell in p.main.occupied():
+                for ni, nj in free:
+                    moved = _with_cell(_with_cell(p, "main", ai, aj, None), "main", ni, nj, cell)
+                    (root,) = [
+                        pl
+                        for pl in compile_scene(moved, vocab).placements
+                        if pl.depth == 0 and (pl.source.row, pl.source.col) == (ni, nj)
+                    ]
+                    assert compile_placement(cell, (ni, nj), moved.grid, vocab) == root.box
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "llmsli grid=1m dims=3x3\nmain:\nsofa 0 0\n0 0 0\n0 0 unobtainium\n",
+            "llmsli grid=1m dims=3x3\nmain:\nsofa 0 0\n0 0 0\n0 0 desk(Pile_on_top)\n"
+            "sublayout Pile dims=1x1:\n0\n",
+        ],
+        ids=["unknown-identifier", "empty-sublayout"],
+    )
+    def test_uncompilable_program_fails(self, code, vocab):
+        parse_llmsli(code)
+        with pytest.raises(InjectionFailed):
+            inject_error(code, "collision", seed=1, vocab=vocab)
+
+
 class TestErrorChain:
     def test_chain_size_and_order(self, samples, vocab, living_room):
         order = {t.value: k for k, t in enumerate(CHAIN_ORDER)}
@@ -223,3 +275,20 @@ class TestDpoPairs:
 
     def test_variant_seeds_differ(self):
         assert derive_subseed(3, "dpo0", 1) != derive_subseed(3, "dpo1", 1)
+
+
+# SHA-256 of `sgc gen-data --stage dpo --n 45 --base-n 14 --seed 2024` output
+GOLDEN_DPO_SHA256 = {
+    "bedroom": "869145a20f1976089633f584f40367adfcb5949bb4f5434e9ac82cafc4d4fb1d",
+    "living_room": "498e6f1b056d20f8474395d67043ac1b9b3f2a808f070db8fa99e312b4859f15",
+    "office": "b1e707b92c461c2383ae7f7bfd4d4e0e6d2804ac9f7560519ff4fd0f7e6407dd",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DPO_SHA256))
+def test_golden_dpo_bytes(name, vocab):
+    template = load_template(name, vocab)
+    samples = generate_sft_dataset(template, 14, 2024, vocab)
+    pairs = generate_dpo_pairs(samples, 2024, vocab, template, n=45)
+    digest = hashlib.sha256(jsonl_bytes(dpo_records(pairs))).hexdigest()
+    assert digest == GOLDEN_DPO_SHA256[name]

@@ -165,6 +165,11 @@ class TestReimport:
         blob = export_scene(scene, "json")
         assert load_scene_json(blob.decode("utf-8"), vocab).placements[0].id == "sofa_0"
 
+    def test_provenance_does_not_survive(self, vocab):
+        scene = compile_scene(parse_llmsli(NESTED), vocab)
+        assert scene.provenance
+        assert load_scene_json(export_scene(scene, "json"), vocab).provenance == ""
+
 
 def obj_stats(text: str):
     v = sum(1 for ln in text.splitlines() if ln.startswith("v "))
