@@ -20,6 +20,7 @@ import sys
 import time
 from pathlib import Path
 
+from spatialgrammar.cli import run_reporting_errors
 from spatialgrammar.datagen import (
     dpo_records,
     extract_pretrain_corpus,
@@ -84,4 +85,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_reporting_errors(main))

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 from . import __version__
 from .compiler import CompilerConfig, compile_building, compile_source, parse_source
@@ -218,23 +219,24 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    return run_reporting_errors(lambda: _COMMANDS[args.command](args))
+
+
+def run_reporting_errors(command: Callable[[], int]) -> int:
+    """Run ``command``; bad input ends in one stderr line and EXIT_USAGE."""
     try:
-        return _COMMANDS[args.command](args)
+        return command()
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except SpatialGrammarError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON input: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except UnicodeDecodeError as exc:
         print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    return EXIT_USAGE
 
 
 def entry() -> None:

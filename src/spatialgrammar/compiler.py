@@ -384,9 +384,7 @@ def _exterior_cells(b: BuildingProgram) -> set[tuple[int, int]]:
     return outside
 
 
-def compile_building(
-    b: BuildingProgram, vocab: Vocabulary, config: CompilerConfig | None = None
-) -> CompiledScene:
+def compile_building(b: BuildingProgram, vocab: Vocabulary) -> CompiledScene:
     """Lower a building program: wall boxes per run, openings inside runs,
     wall-face sub-layouts, and an optional ceiling block."""
     g = b.cell_size_m
@@ -519,8 +517,16 @@ def parse_source(text: str) -> SceneProgram | BuildingProgram:
 def compile_source(
     text: str, vocab: Vocabulary, config: CompilerConfig | None = None
 ) -> tuple[SceneProgram | BuildingProgram, CompiledScene]:
-    """Parse and compile either language, dispatched on the header keyword."""
+    """Parse and compile either language, dispatched on the header keyword.
+
+    ``config`` applies to llmsli rooms only; a building sets its wall height
+    in its header, and passing a config with one raises ConfigError."""
     program = parse_source(text)
     if isinstance(program, BuildingProgram):
-        return program, compile_building(program, vocab, config)
+        if config is not None:
+            raise ConfigError(
+                "ceiling height applies to llmsli rooms only; "
+                "set a building's wall height with its height= header"
+            )
+        return program, compile_building(program, vocab)
     return program, compile_scene(program, vocab, config)

@@ -100,7 +100,8 @@ class FaceDimensionError(CompileError):
 
 
 class SchemaError(SpatialGrammarError, ValueError):
-    """A scene JSON or checklist document is valid JSON of the wrong shape."""
+    """An input document of the wrong shape: a scene JSON, checklist, scene
+    template or vocabulary file."""
 
 
 class UnsupportedFormat(SpatialGrammarError):

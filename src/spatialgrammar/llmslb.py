@@ -23,17 +23,17 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
 
-from .errors import DanglingBlockError, OrphanOpeningError, ParseError, RaggedGridError
+from .errors import DanglingBlockError, OrphanOpeningError, ParseError
 from .geometry import GridSpec
 from .llmsli import (
-    MAX_NESTING_DEPTH,
-    Face,
+    _SLI_FACES,
     GridBlock,
     Section,
     _fmt_num,
     _parse_dims,
     _parse_floor_value,
     block_from_section,
+    block_print_order,
     check_block_graph,
     format_cell,
     header_pairs,
@@ -60,7 +60,6 @@ class WallFace(str, Enum):
 
 _WALL_FACE_INDEX = {WallFace.INNER: 0, WallFace.OUTER: 1}
 _SLB_FACES = {f.value: f for f in WallFace}
-_SLI_FACES = {f.value: f for f in Face}
 
 
 @dataclass(frozen=True)
@@ -113,6 +112,13 @@ class BuildingProgram:
                 if cell is not None:
                     yield (i, j, cell)
 
+    def root_refs(self) -> list[str]:
+        """Blocks hung off the shell: wall-cell references, then the ceiling block."""
+        refs = [name for _, _, cell in self.structural_cells() for name, _f in cell.sublayout_refs]
+        if self.ceiling_block is not None:
+            refs.append(self.ceiling_block)
+        return refs
+
     def symbol_at(self, i: int, j: int) -> StructSymbol | None:
         if 0 <= i < len(self.cells) and 0 <= j < len(self.cells[0]):
             cell = self.cells[i][j]
@@ -125,9 +131,9 @@ class BuildingProgram:
 
 
 def _parse_struct_token(
-    tok: str, lineno: int, col: int, refs_out: list
+    tok: str, lineno: int, col: int, faces: dict[str, object], refs_out: list
 ) -> StructCell | None:
-    cell = parse_cell_token(tok, lineno, col, _SLB_FACES, refs_out)
+    cell = parse_cell_token(tok, lineno, col, faces, refs_out)
     if cell is None:
         return None
     if not isinstance(cell.key, str) or cell.key not in ("w", "d", "c"):
@@ -190,43 +196,20 @@ def parse_llmslb(text: str) -> BuildingProgram:
         w, h = _parse_floor_value(pairs["window"][0], lineno, pairs["window"][1])
         window = OpeningParams(width_m=w, height_m=h, sill_m=sill)
 
-    main_sec: Section | None = None
-    block_sections: list[Section] = []
-    for sec in sections:
-        if sec.kind == "main":
-            main_sec = sec
-        else:
-            block_sections.append(sec)
+    main_sec = next((sec for sec in sections if sec.kind == "main"), None)
     if main_sec is None:
         raise ParseError("program has no 'main:' section", line=lineno, col=1, expected=("main:",))
     if not main_sec.rows:
         raise ParseError("'main' section has no rows", line=main_sec.line, col=1)
-
+    main_sec.dims = dims
     struct_refs: list = []
-    rows: list[tuple[StructCell | None, ...]] = []
-    positions: dict[tuple[int, int], tuple[int, int]] = {}
-    width: int | None = None
-    for row_line, raw in main_sec.rows:
-        row: list[StructCell | None] = []
-        for tok, col in tokens_with_cols(raw):
-            positions[(len(rows), len(row))] = (row_line, col)
-            row.append(_parse_struct_token(tok, row_line, col, struct_refs))
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise RaggedGridError(f"row has {len(row)} cells, expected {width}", line=row_line, col=1)
-        rows.append(tuple(row))
-    if dims is not None and (len(rows), width) != dims:
-        raise RaggedGridError(
-            f"grid is {len(rows)}x{width} but dims declare {dims[0]}x{dims[1]}",
-            line=main_sec.line,
-            col=1,
-        )
+    main = block_from_section(main_sec, _SLB_FACES, struct_refs, _parse_struct_token)
 
     block_refs: list = []
     blocks: dict[str, GridBlock] = {}
-    for sec in block_sections:
-        blocks[sec.name] = block_from_section(sec, _SLI_FACES, block_refs)
+    for sec in sections:
+        if sec is not main_sec:
+            blocks[sec.name] = block_from_section(sec, _SLI_FACES, block_refs)
 
     for name, _face, ref_line, ref_col in struct_refs:
         if name not in blocks:
@@ -241,19 +224,9 @@ def parse_llmslb(text: str) -> BuildingProgram:
                 f"undeclared ceiling block {ceiling!r}", line=lineno, col=pairs["ceiling"][1]
             )
 
-    depths = check_block_graph(blocks, block_refs, root="main")
-    root_refs = [name for name, _f, _l, _c in struct_refs]
-    if ceiling is not None:
-        root_refs.append(ceiling)
-    for name in root_refs:
-        if 1 + depths.get(name, 0) > MAX_NESTING_DEPTH:
-            raise ParseError(
-                f"nesting depth {1 + depths[name]} exceeds the maximum of {MAX_NESTING_DEPTH}"
-            )
-
     program = BuildingProgram(
         cell_size_m=g,
-        cells=tuple(rows),
+        cells=main.rows,
         wall_height_m=height,
         wall_thickness_m=thickness,
         door=door,
@@ -261,11 +234,12 @@ def parse_llmslb(text: str) -> BuildingProgram:
         blocks=blocks,
         ceiling_block=ceiling,
     )
-    _check_orphan_openings(program, positions)
+    check_block_graph(blocks, block_refs, program.root_refs())
+    _check_orphan_openings(program, main_sec)
     return program
 
 
-def _check_orphan_openings(p: BuildingProgram, positions: dict) -> None:
+def _check_orphan_openings(p: BuildingProgram, main_sec: Section) -> None:
     runs = wall_runs(p)
     run_of: dict[tuple[int, int], list[Run]] = {}
     for run in runs:
@@ -284,12 +258,12 @@ def _check_orphan_openings(p: BuildingProgram, positions: dict) -> None:
             for run in run_of.get((i, j), ())
         ):
             continue
-        line, col = positions.get((i, j), (None, None))
+        line, raw = main_sec.rows[i]
         raise OrphanOpeningError(
             f"{'door' if cell.symbol is StructSymbol.DOOR else 'window'} at cell ({i},{j}) "
             "has no adjacent wall",
             line=line,
-            col=col,
+            col=tokens_with_cols(raw)[j][1],
         )
 
 
@@ -448,31 +422,7 @@ def print_llmslb(p: BuildingProgram) -> str:
     for row in p.cells:
         lines.append(" ".join(format_struct_cell(c) for c in row))
 
-    order: list[str] = []
-    seen: set[str] = set()
-    queue: list[str] = []
-
-    def enqueue(name: str) -> None:
-        if name not in seen and name in p.blocks:
-            seen.add(name)
-            order.append(name)
-            queue.append(name)
-
-    for _, _, cell in p.structural_cells():
-        for name, _face in cell.sublayout_refs:
-            enqueue(name)
-    if p.ceiling_block is not None:
-        enqueue(p.ceiling_block)
-    while queue:
-        current = queue.pop(0)
-        for _, _, cell in p.blocks[current].occupied():
-            for name, _face in cell.sublayout_refs:
-                enqueue(name)
-    for name in p.blocks:
-        if name not in seen:
-            order.append(name)
-
-    for name in order:
+    for name in block_print_order(p.blocks, p.root_refs()):
         block = p.blocks[name]
         lines.append(f"sublayout {name} dims={block.n_rows}x{block.n_cols}:")
         for row in block.rows:

@@ -20,6 +20,7 @@ group per face.  KEY is a vocabulary code or an identifier; ``main`` and
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
@@ -112,6 +113,10 @@ class GridBlock:
             for j, cell in enumerate(row):
                 if cell is not None:
                     yield (i, j, cell)
+
+    def refs(self) -> list[str]:
+        """Names of the blocks this grid's cells reference, in cell and face order."""
+        return [name for _, _, cell in self.occupied() for name, _face in cell.sublayout_refs]
 
 
 @dataclass(frozen=True)
@@ -277,7 +282,10 @@ def parse_grid_value(s: str, lineno: int, col: int) -> float:
 def _parse_float(s: str, lineno: int, col: int, what: str = "number") -> float:
     if not s or not all(c in "0123456789." for c in s) or s.count(".") > 1 or s == ".":
         raise ParseError(f"malformed {what} {s!r}", line=lineno, col=col)
-    return float(s)
+    value = float(s)
+    if not math.isfinite(value):
+        raise ParseError(f"{what} is too large to represent", line=lineno, col=col)
+    return value
 
 
 def header_pairs(header: tuple[int, str], lang: str) -> dict[str, tuple[str, int]]:
@@ -407,7 +415,9 @@ def block_from_section(
     sec: Section,
     faces: dict[str, object],
     refs_out: list[tuple[str, object, int, int]],
+    parse_cell=parse_cell_token,
 ) -> GridBlock:
+    """Parse a section's rows with ``parse_cell`` and check them against its dims."""
     if not sec.rows:
         raise ParseError(f"section {sec.name!r} has no rows", line=sec.line, col=1)
     rows = []
@@ -415,7 +425,7 @@ def block_from_section(
     for lineno, raw in sec.rows:
         cells = []
         for tok, col in tokens_with_cols(raw):
-            cells.append(parse_cell_token(tok, lineno, col, faces, refs_out))
+            cells.append(parse_cell(tok, lineno, col, faces, refs_out))
         if width is None:
             width = len(cells)
         elif len(cells) != width:
@@ -435,26 +445,27 @@ def block_from_section(
 def check_block_graph(
     blocks: dict[str, GridBlock],
     refs: list[tuple[str, object, int, int]],
-    root: str = "main",
-) -> dict[str, int]:
-    """Resolve references, reject cycles, and bound the nesting depth.
-
-    Returns the longest reference-chain length hanging off each block."""
+    root_refs: list[str],
+) -> None:
+    """Resolve references, reject cycles, and bound the nesting depth."""
     for name, _face, lineno, col in refs:
-        if name == root:
-            raise ParseError(
-                f"{root!r} cannot be referenced as a sub-layout", line=lineno, col=col
-            )
+        if name == "main":
+            raise ParseError("'main' cannot be referenced as a sub-layout", line=lineno, col=col)
         if name not in blocks:
             raise DanglingBlockError(
                 f"undeclared sub-layout block {name!r}", line=lineno, col=col
             )
+    deepest = nesting_depth(blocks, root_refs)
+    if deepest > MAX_NESTING_DEPTH:
+        raise CycleError(f"nesting depth {deepest} exceeds the maximum of {MAX_NESTING_DEPTH}")
 
-    edges: dict[str, list[str]] = {
-        name: [r for _, _, cell in block.occupied() for r, _f in cell.sublayout_refs]
-        for name, block in blocks.items()
-    }
 
+def nesting_depth(blocks: dict[str, GridBlock], root_refs: list[str]) -> int:
+    """Longest sub-layout chain hanging off a root grid whose cells reference
+    ``root_refs``; 0 when it references nothing.
+
+    Visits every block, referenced or not, and raises CycleError when
+    references form a cycle."""
     WHITE, GREY, BLACK = 0, 1, 2
     color = {name: WHITE for name in blocks}
     depth: dict[str, int] = {}
@@ -468,7 +479,7 @@ def check_block_graph(
         color[name] = GREY
         trail.append(name)
         d = 0
-        for child in edges[name]:
+        for child in blocks[name].refs():
             d = max(d, 1 + visit(child, trail))
         trail.pop()
         color[name] = BLACK
@@ -477,12 +488,7 @@ def check_block_graph(
 
     for name in blocks:
         visit(name, [])
-
-    if root in depth and depth[root] > MAX_NESTING_DEPTH:
-        raise CycleError(
-            f"nesting depth {depth[root]} exceeds the maximum of {MAX_NESTING_DEPTH}"
-        )
-    return depth
+    return max((1 + depth[r] for r in root_refs), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +534,7 @@ def parse_llmsli(text: str) -> SceneProgram:
     if not main_seen:
         raise ParseError("program has no 'main:' section", line=lineno, col=1, expected=("main:",))
 
-    check_block_graph(blocks, refs)
+    check_block_graph(blocks, refs, blocks["main"].refs())
     return SceneProgram(cell_size_m=g, blocks=blocks, floor_extent_m=floor)
 
 
@@ -577,23 +583,22 @@ def format_cell(cell: CellSpec | None) -> str:
     return "".join(parts)
 
 
-def block_print_order(blocks: dict[str, GridBlock], root: str = "main") -> list[str]:
-    """Root first, then blocks in first-reference (breadth-first) order, then
+def block_print_order(blocks: dict[str, GridBlock], roots: list[str]) -> list[str]:
+    """The ``roots``, then blocks in first-reference (breadth-first) order, then
     any unreferenced blocks in declaration order."""
-    order = [root]
-    seen = {root}
-    queue = [root]
-    while queue:
-        name = queue.pop(0)
-        for _, _, cell in blocks[name].occupied():
-            for ref, _face in cell.sublayout_refs:
-                if ref not in seen and ref in blocks:
-                    seen.add(ref)
-                    order.append(ref)
-                    queue.append(ref)
-    for name in blocks:
-        if name not in seen:
-            order.append(name)
+    order: list[str] = []
+    seen: set[str] = set()
+
+    def enqueue(names) -> None:
+        for name in names:
+            if name in blocks and name not in seen:
+                seen.add(name)
+                order.append(name)
+
+    enqueue(roots)
+    for name in order:  # order grows while it is walked: it is the BFS queue
+        enqueue(blocks[name].refs())
+    enqueue(blocks)
     return order
 
 
@@ -605,7 +610,7 @@ def print_llmsli(p: SceneProgram) -> str:
         fx, fy = p.floor_extent_m
         header += f" floor={_fmt_num(fx)}x{_fmt_num(fy)}m"
     lines = [header]
-    for name in block_print_order(p.blocks):
+    for name in block_print_order(p.blocks, ["main"]):
         block = p.blocks[name]
         if name == "main":
             lines.append("main:")
@@ -630,45 +635,28 @@ def program_stats(p) -> dict[str, int]:
 
     if isinstance(p, llmslb.BuildingProgram):
         canonical = llmslb.print_llmslb(p)
-        blocks = dict(p.blocks)
-        root_refs = [r for _, _, c in p.structural_cells() for r, _f in c.sublayout_refs]
+        blocks = p.blocks
+        root_refs = p.root_refs()
         cells = p.grid.rows * p.grid.cols
         occupied = sum(1 for _ in p.structural_cells())
-        if p.ceiling_block is not None:
-            root_refs.append(p.ceiling_block)
     else:
         canonical = print_llmsli(p)
         blocks = {k: v for k, v in p.blocks.items() if k != "main"}
-        root_refs = [r for _, _, c in p.main.occupied() for r, _f in c.sublayout_refs]
+        root_refs = p.main.refs()
         cells = p.main.n_rows * p.main.n_cols
         occupied = sum(1 for _ in p.main.occupied())
 
     ref_count = len(root_refs)
     for block in blocks.values():
-        for _, _, cell in block.occupied():
-            ref_count += len(cell.sublayout_refs)
-            occupied += 1
+        ref_count += len(block.refs())
+        occupied += sum(1 for _ in block.occupied())
         cells += block.n_rows * block.n_cols
-
-    depth_memo: dict[str, int] = {}
-
-    def block_depth(name: str) -> int:
-        if name in depth_memo:
-            return depth_memo[name]
-        d = 1
-        for _, _, cell in blocks[name].occupied():
-            for ref, _f in cell.sublayout_refs:
-                d = max(d, 1 + block_depth(ref))
-        depth_memo[name] = d
-        return d
-
-    max_depth = max((block_depth(r) for r in root_refs), default=0)
 
     return {
         "cells": cells,
         "occupied_cells": occupied,
         "sublayout_count": ref_count,
-        "max_depth": max_depth,
+        "max_depth": nesting_depth(blocks, root_refs),
         "token_count": len(canonical.split()),
         "char_count": len(canonical),
     }

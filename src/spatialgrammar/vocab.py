@@ -22,7 +22,7 @@ from enum import Enum
 from importlib import resources
 from typing import Iterable, Iterator
 
-from .errors import UnknownCode, UnknownIdentifier
+from .errors import SchemaError, UnknownCode, UnknownIdentifier
 from .geometry import Vec3
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -49,12 +49,12 @@ class VocabEntry:
 
     def __post_init__(self) -> None:
         if not _IDENT_RE.match(self.identifier):
-            raise ValueError(f"identifier must match [A-Za-z_][A-Za-z0-9_]*: {self.identifier!r}")
+            raise SchemaError(f"identifier must match [A-Za-z_][A-Za-z0-9_]*: {self.identifier!r}")
         if self.code is not None and self.code < 1:
-            raise ValueError(f"codes start at 1 (0 is the reserved empty cell): {self.code}")
+            raise SchemaError(f"codes start at 1 (0 is the reserved empty cell): {self.code}")
         s = self.default_size
         if s.x <= 0 or s.y <= 0 or s.z <= 0:
-            raise ValueError(f"default size must be positive: {s}")
+            raise SchemaError(f"default size must be positive: {s}")
 
 
 class Vocabulary:
@@ -66,11 +66,11 @@ class Vocabulary:
         self._by_ident: dict[str, VocabEntry] = {}
         for e in self._entries:
             if e.identifier in self._by_ident:
-                raise ValueError(f"duplicate identifier {e.identifier!r}")
+                raise SchemaError(f"duplicate identifier {e.identifier!r}")
             self._by_ident[e.identifier] = e
             if e.code is not None:
                 if e.code in self._by_code:
-                    raise ValueError(f"duplicate code {e.code}")
+                    raise SchemaError(f"duplicate code {e.code}")
                 self._by_code[e.code] = e
 
     def lookup(self, key: int | str, cell: tuple[int, int] | None = None) -> VocabEntry:
@@ -108,6 +108,8 @@ class Vocabulary:
 
 
 def parse_vocabulary(text: str, source: str = "<string>") -> Vocabulary:
+    """Parse a vocabulary table; a malformed line raises SchemaError naming
+    ``source`` and the line number."""
     entries = []
     for n, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -115,21 +117,23 @@ def parse_vocabulary(text: str, source: str = "<string>") -> Vocabulary:
             continue
         parts = line.split()
         if len(parts) != 6:
-            raise ValueError(f"{source}:{n}: expected 6 columns, got {len(parts)}")
+            raise SchemaError(f"{source}:{n}: expected 6 columns, got {len(parts)}")
         code_s, ident, cat_s, lx, ly, lz = parts
-        code = None if code_s == "-" else int(code_s)
         try:
             cat = Category(cat_s)
         except ValueError:
-            raise ValueError(f"{source}:{n}: unknown category {cat_s!r}") from None
-        entries.append(
-            VocabEntry(
-                identifier=ident,
-                category=cat,
-                default_size=Vec3(float(lx), float(ly), float(lz)),
-                code=code,
+            raise SchemaError(f"{source}:{n}: unknown category {cat_s!r}") from None
+        try:
+            entries.append(
+                VocabEntry(
+                    identifier=ident,
+                    category=cat,
+                    default_size=Vec3(float(lx), float(ly), float(lz)),
+                    code=None if code_s == "-" else int(code_s),
+                )
             )
-        )
+        except ValueError as exc:
+            raise SchemaError(f"{source}:{n}: {exc}") from None
     return Vocabulary(entries)
 
 

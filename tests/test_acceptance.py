@@ -7,6 +7,8 @@ budgets; everything is seeded, so a red run reproduces.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
 import re
@@ -33,7 +35,7 @@ from spatialgrammar.errors import ParseError, SpatialGrammarError
 from spatialgrammar.export import canonical_json, export_scene, scene_to_dict
 from spatialgrammar.geometry import GridSpec, OrientedBox, Vec3, grid_dimensions
 from spatialgrammar.llmslb import parse_llmslb, print_llmslb
-from spatialgrammar.llmsli import Face, parse_llmsli, print_llmsli
+from spatialgrammar.llmsli import Face, parse_llmsli, print_llmsli, program_stats
 from spatialgrammar.templates import load_template
 from spatialgrammar.validator import collision_rate, obb_intersect, validate
 from spatialgrammar.vocab import Category, load_vocabulary
@@ -539,3 +541,32 @@ def test_criterion_11_parser_robustness():
         for _ in range(2_000):
             b = parse_llmslb(_random_building_source(rng))
             assert parse_llmslb(print_llmslb(b)) == b
+
+
+# Outcome of both parsers on the first 20,000 criterion 11 inputs: for a
+# rejection the error class, message, line, col and expected tokens; for an
+# accepted program its canonical print and program_stats.  A refactor of the
+# front end must leave this hash alone.
+GOLDEN_PARSE_OUTCOMES = "d730bac39047ee423782a0d5ee0c291db97795a22b467674222109b426ace1a9"
+
+
+def test_parse_outcomes_golden():
+    rng = random.Random(4111)
+    seeds = [_random_scene_source(rng) for _ in range(20)]
+    seeds += [_random_building_source(rng) for _ in range(10)]
+    digest = hashlib.sha256()
+    for k in range(20_000):
+        if k % 10 < 6:
+            n = rng.randint(0, 150)
+            s = bytes(rng.randrange(256) for _ in range(n)).decode("latin-1")
+        else:
+            s = _mutate(rng, rng.choice(seeds))
+        for parse, render in ((parse_llmsli, print_llmsli), (parse_llmslb, print_llmslb)):
+            try:
+                p = parse(s)
+            except ParseError as exc:
+                outcome = [type(exc).__name__, exc.message, exc.line, exc.col, exc.expected]
+            else:
+                outcome = [render(p), program_stats(p)]
+            digest.update(json.dumps(outcome, sort_keys=True).encode("utf-8") + b"\n")
+    assert digest.hexdigest() == GOLDEN_PARSE_OUTCOMES

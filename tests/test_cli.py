@@ -41,6 +41,19 @@ def assert_usage_error(proc: subprocess.CompletedProcess) -> None:
     assert len(proc.stderr.strip().splitlines()) == 1
 
 
+def assert_main_usage_error(argv: list[str], capsys) -> str:
+    """Run sgc in-process; it must exit 2 with one stderr line, which is returned."""
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1, err
+    return err
+
+
+HUGE = "9" * 400  # a decimal literal that float() turns into inf
+OFFICE = json.loads((REPO / "src/spatialgrammar/data/templates/office.json").read_text())
+
+
 @pytest.fixture()
 def room(tmp_path):
     path = tmp_path / "room.sg"
@@ -114,6 +127,32 @@ class TestCompile:
         proc = run_python("-m", "spatialgrammar.cli", "compile", str(path), "--ceiling", ceiling)
         assert_usage_error(proc)
         assert proc.stdout == ""
+
+
+    @pytest.mark.parametrize("command", ["compile", "validate"])
+    @pytest.mark.parametrize(
+        "source",
+        [
+            f"llmsli grid=1m dims=1x1\nmain:\nsofa[{HUGE}x1x1]\n",
+            f"llmsli grid={HUGE}m dims=1x1\nmain:\nsofa\n",
+            f"llmslb grid=1m dims=1x2 height={HUGE}m\nmain:\nw w\n",
+        ],
+        ids=["size", "grid", "height"],
+    )
+    def test_overflowing_number_exit_2(self, command, source, tmp_path, capsys):
+        path = tmp_path / "huge.sg"
+        path.write_text(source, encoding="utf-8")
+        assert "too large" in assert_main_usage_error([command, str(path)], capsys)
+
+    def test_ceiling_rejected_for_buildings(self, tmp_path, capsys):
+        path = tmp_path / "shell.sgb"
+        path.write_text(
+            "llmslb grid=1m dims=1x2 ceiling=Top\nmain:\nw w\nsublayout Top dims=1x1:\n"
+            "pendant_light\n",
+            encoding="utf-8",
+        )
+        err = assert_main_usage_error(["compile", str(path), "--ceiling", "9"], capsys)
+        assert "height=" in err
 
 
 class TestValidate:
@@ -341,7 +380,28 @@ class TestGenData:
         assert len(proc.stderr.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "doc",
+        [{}, [1], {**OFFICE, "count_range": [3, 65]}, {**OFFICE, "prompt_templates": ["{bogus}"]}],
+        ids=["empty-object", "list", "count-beyond-grid", "unknown-text-field"],
+    )
+    def test_malformed_template(self, doc, tmp_path, capsys):
+        template = tmp_path / "t.json"
+        template.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["gen-data", "--template", str(template), "--n", "1", "--seed", "1",
+                "--out", str(tmp_path / "out.jsonl")]
+        assert_main_usage_error(argv, capsys)
+        assert not (tmp_path / "out.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "line", ["1 crate", "1 crate floor_furniture nan 1 1", "x crate floor_furniture 1 1 1"]
+    )
+    def test_malformed_vocab(self, line, tmp_path, capsys):
+        vocab = tmp_path / "v.tsv"
+        vocab.write_text(line + "\n", encoding="utf-8")
+        argv = ["gen-data", "--template", "office", "--n", "1", "--seed", "1",
+                "--vocab", str(vocab), "--out", str(tmp_path / "out.jsonl")]
+        assert f"{vocab}:1: " in assert_main_usage_error(argv, capsys)
 
 
 class TestGenerateCorpusScript:
@@ -351,6 +411,16 @@ class TestGenerateCorpusScript:
     def test_bad_counts_rejected(self, extra, tmp_path):
         out = tmp_path / "corpus"
         proc = run_python("scripts/generate_corpus.py", "--out", str(out), *extra)
+        assert_usage_error(proc)
+        assert not out.exists()
+
+    def test_malformed_template_rejected(self, tmp_path):
+        template = tmp_path / "t.json"
+        template.write_text("[1]", encoding="utf-8")
+        out = tmp_path / "corpus"
+        proc = run_python(
+            "scripts/generate_corpus.py", "--out", str(out), "--template", str(template)
+        )
         assert_usage_error(proc)
         assert not out.exists()
 

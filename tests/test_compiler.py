@@ -545,3 +545,8 @@ class TestCompileSource:
         program, scene = compile_source(RING, vocab)
         assert isinstance(program, BuildingProgram)
         assert scene.structural
+
+    def test_config_rejected_for_building(self, vocab):
+        # a shell's wall height comes from its height= header, not the config
+        with pytest.raises(ConfigError, match="height="):
+            compile_source(RING, vocab, CompilerConfig(ceiling_height_m=9.0))

@@ -13,7 +13,7 @@ from spatialgrammar.datagen import (
     jsonl_bytes,
     sample_scene,
 )
-from spatialgrammar.errors import TemplateExhausted
+from spatialgrammar.errors import SchemaError, TemplateExhausted
 from spatialgrammar.llmsli import parse_llmsli, print_llmsli
 from spatialgrammar.relations import check_relation
 from spatialgrammar.templates import (
@@ -127,6 +127,43 @@ class TestTemplates:
             "reasoning_templates": ["y {placement_text}"],
         }
         with pytest.raises(Exception):
+            template_from_dict(doc)
+
+
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            {"grid": {"cell_size": 1.0, "rows": 0, "cols": 3}},
+            {"grid": {"cell_size": 1.0, "cols": 3}},
+            {"count_range": [2]},
+            {"object_pool": [{"key": 5}, {"key": "plant"}]},
+            {"object_pool": [{"key": "sofa", "weight": float("nan")}, {"key": "plant"}]},
+            {"relation_rules": [{"subject": 3, "relation": "near", "object": "sofa"}]},
+            {"surface_rules": [{"host": "sofa", "item": "vase", "prob": 2}]},
+            {"prompt_templates": ["A {room} with {furniture}."]},
+            {"reasoning_templates": ["First {0}."]},
+            {"reasoning_templates": [7]},
+        ],
+        ids=["zero-rows", "no-rows", "short-count-range", "numeric-key", "nan-weight",
+             "numeric-subject", "probability", "unknown-field", "positional-field",
+             "non-text"],
+    )
+    def test_wrong_shape_is_schema_error(self, patch):
+        doc = {
+            "name": "tiny",
+            "grid": {"cell_size": 1.0, "rows": 3, "cols": 3},
+            "object_pool": [{"key": "sofa"}, {"key": "plant"}],
+            "count_range": [1, 2],
+            "prompt_templates": ["Furnish the {room} with {object_list}."],
+            "reasoning_templates": ["{rule_text} Place {placement_text}."],
+        }
+        template_from_dict(doc)
+        with pytest.raises(SchemaError):
+            template_from_dict({**doc, **patch})
+
+    @pytest.mark.parametrize("doc", [None, [1], "living_room"])
+    def test_non_object_is_schema_error(self, doc):
+        with pytest.raises(SchemaError, match="JSON object"):
             template_from_dict(doc)
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from spatialgrammar.errors import (
+    CycleError,
     DanglingBlockError,
     OrphanOpeningError,
     ParseError,
@@ -18,6 +19,8 @@ from spatialgrammar.llmslb import (
     wall_runs,
 )
 from spatialgrammar.llmsli import program_stats
+
+HUGE = "9" * 400  # a decimal literal that float() turns into inf
 
 RING = (
     "llmslb grid=1m dims=5x5\n"
@@ -59,6 +62,18 @@ class TestHeader:
     def test_dims_mismatch(self):
         with pytest.raises(RaggedGridError):
             parse_llmslb("llmslb grid=1m dims=3x2\nmain:\nw w\nw w\n")
+
+    @pytest.mark.parametrize(
+        "token",
+        [f"grid={HUGE}m", f"height={HUGE}m", f"thickness={HUGE}m", f"sill={HUGE}m",
+         f"door={HUGE}x2m", f"window=1x{HUGE}m"],
+        ids=lambda token: token.partition("=")[0],
+    )
+    def test_overflowing_number_rejected(self, token):
+        head = "llmslb" if token.startswith("grid=") else "llmslb grid=1m"
+        with pytest.raises(ParseError, match="too large") as info:
+            parse_llmslb(f"{head} {token}\nmain:\nw w\n")
+        assert (info.value.line, info.value.col) == (1, len(head) + 2)
 
 
 class TestSymbols:
@@ -119,6 +134,36 @@ class TestBlocks:
     def test_dangling_ceiling(self):
         with pytest.raises(DanglingBlockError):
             parse_llmslb("llmslb grid=1m dims=2x2 ceiling=Nope\nmain:\nw w\nw w\n")
+
+    def test_depth_limit(self):
+        with pytest.raises(CycleError) as info:
+            parse_llmslb(_chained("llmslb grid=1m dims=1x2\nmain:\nw(A1_on_inner) w\n", "A", 9))
+        assert info.value.message == "nesting depth 9 exceeds the maximum of 8"
+
+    def test_depth_limit_names_deepest_chain(self):
+        src = _chained("llmslb grid=1m dims=1x2 ceiling=B1\nmain:\nw(A1_on_inner) w\n", "A", 9)
+        with pytest.raises(CycleError, match="nesting depth 10 exceeds"):
+            parse_llmslb(_chained(src, "B", 10))
+
+    def test_depth_exactly_eight_ok(self):
+        src = _chained("llmslb grid=1m dims=1x2 ceiling=B1\nmain:\nw(A1_on_inner) w\n", "A", 8)
+        assert program_stats(parse_llmslb(_chained(src, "B", 8)))["max_depth"] == 8
+
+    def test_cycle_in_unreferenced_blocks(self):
+        src = (
+            "llmslb grid=1m dims=1x2\nmain:\nw w\n"
+            "sublayout A dims=1x1:\ntv(B_on_top)\nsublayout B dims=1x1:\ntv(A_on_top)\n"
+        )
+        with pytest.raises(CycleError, match="cycle: A -> B -> A"):
+            parse_llmslb(src)
+
+
+def _chained(src: str, prefix: str, n: int) -> str:
+    """Append blocks PREFIX1..PREFIXn, each holding the next on its top face."""
+    for k in range(1, n + 1):
+        cell = f"tv({prefix}{k + 1}_on_top)" if k < n else "tv"
+        src += f"sublayout {prefix}{k} dims=1x1:\n{cell}\n"
+    return src
 
 
 class TestWallRuns:
@@ -201,6 +246,11 @@ class TestOrphans:
         with pytest.raises(OrphanOpeningError):
             parse_llmslb("llmslb grid=1m dims=1x2\nmain:\nd d\n")
 
+    def test_orphan_position(self):
+        with pytest.raises(OrphanOpeningError) as info:
+            parse_llmslb("llmslb grid=1m dims=2x3\nmain:\nw w 0\n\n0  0   c\n")
+        assert (info.value.line, info.value.col) == (5, 8)
+
     def test_opening_reached_through_run(self):
         # c touches only d, but their run contains a wall
         parse_llmslb("llmslb grid=1m dims=1x3\nmain:\nw d c\n")
@@ -218,6 +268,20 @@ class TestCanonicalPrint:
         text = print_llmslb(p)
         assert parse_llmslb(text) == p
         assert print_llmslb(parse_llmslb(text)) == text
+
+    def test_block_order(self):
+        # wall references in cell order, then the ceiling block, then what
+        # those reference breadth-first, then unreferenced blocks
+        src = (
+            "llmslb grid=1m dims=1x2 ceiling=Top\nmain:\nw(B_on_outer) w(A_on_inner)(C_on_outer)\n"
+            "sublayout Spare dims=1x1:\ntv\nsublayout Top dims=1x1:\npendant_light(D_on_bottom)\n"
+            "sublayout D dims=1x1:\ntv\nsublayout C dims=1x1:\ntv\n"
+            "sublayout A dims=1x1:\ntv(E_on_top)\nsublayout E dims=1x1:\ntv\n"
+            "sublayout B dims=1x1:\ntv\n"
+        )
+        text = print_llmslb(parse_llmslb(src))
+        names = [line.split()[1] for line in text.splitlines() if line.startswith("sublayout")]
+        assert names == ["B", "A", "C", "Top", "E", "D", "Spare"]
 
     def test_header_explicit(self):
         text = print_llmslb(parse_llmslb(RING))

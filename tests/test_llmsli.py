@@ -20,6 +20,8 @@ from spatialgrammar.llmsli import (
 
 from conftest import make_room
 
+HUGE = "9" * 400  # a decimal literal that float() turns into inf
+
 
 class TestHeader:
     def test_meter_grid(self):
@@ -45,6 +47,18 @@ class TestHeader:
     def test_unknown_header_key(self):
         with pytest.raises(ParseError):
             parse_llmsli("llmsli grid=1m speed=9\nmain:\nsofa\n")
+
+    @pytest.mark.parametrize(
+        "token",
+        [f"grid={HUGE}m", f"grid={HUGE}cm", f"floor={HUGE}x1m", f"floor=1x{HUGE}m"],
+        ids=["grid-m", "grid-cm", "floor-x", "floor-y"],
+    )
+    def test_overflowing_number_rejected(self, token):
+        key = token.partition("=")[0]
+        head = "llmsli grid=1m" if key == "floor" else "llmsli"
+        with pytest.raises(ParseError, match="too large") as info:
+            parse_llmsli(f"{head} {token}\nmain:\nsofa\n")
+        assert (info.value.line, info.value.col) == (1, len(head) + 2)
 
     def test_wrong_language_keyword(self):
         with pytest.raises(ParseError):
@@ -137,6 +151,14 @@ class TestCellTokens:
     def test_zero_dimension_override(self):
         with pytest.raises(ParseError):
             parse_llmsli("llmsli grid=1m dims=1x1\nmain:\nsofa[0x1x1]\n")
+
+    @pytest.mark.parametrize(
+        "size, col", [(f"{HUGE}x1x1", 6), (f"1x1x{HUGE}", 10)], ids=["length", "height"]
+    )
+    def test_overflowing_size_rejected(self, size, col):
+        with pytest.raises(ParseError, match="size is too large") as info:
+            parse_llmsli(f"llmsli grid=1m dims=1x1\nmain:\nsofa[{size}]\n")
+        assert (info.value.line, info.value.col) == (3, col)
 
 
 class TestBlockGraph:

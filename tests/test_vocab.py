@@ -1,6 +1,6 @@
 import pytest
 
-from spatialgrammar.errors import UnknownCode, UnknownIdentifier, VocabError
+from spatialgrammar.errors import SchemaError, UnknownCode, UnknownIdentifier, VocabError
 from spatialgrammar.vocab import (
     Category,
     VocabEntry,
@@ -37,6 +37,22 @@ def test_unknown_lookups():
         v.lookup(99)
     with pytest.raises(UnknownIdentifier):
         v.lookup("hovercraft")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "1 a floor_furniture 1 1",
+        "x a floor_furniture 1 1 1",
+        "1 a floor_furniture inf 1 1",
+        "1 a floor_furniture 1 nan 1",
+        "1 a-b floor_furniture 1 1 1",
+        "1 a spaceship 1 1 1",
+    ],
+)
+def test_malformed_line_names_source_and_line(line):
+    with pytest.raises(SchemaError, match=r"^v\.tsv:2: "):
+        parse_vocabulary("# header\n" + line + "\n", source="v.tsv")
 
 
 def test_duplicate_identifier_rejected():
