@@ -276,3 +276,30 @@ class TestExtraction:
     def test_jsonl_bytes_sorted_compact(self):
         assert jsonl_bytes([{"b": 1, "a": 2}]) == b'{"a":2,"b":1}\n'
         assert jsonl_bytes([]) == b""
+
+
+# SHA-256 of `sgc gen-data --stage sft|pretrain --n 60 --seed 2024` output
+GOLDEN_SFT_SHA256 = {
+    "bedroom": (
+        "e794735fec10b4a351578373a8cd77d79c9cc31089c23da92c871685cb0e0f79",
+        "23b7873a2ad57448b1ea6e6a89665edabd82ab633f208a92787d3cb23f71f72b",
+    ),
+    "living_room": (
+        "59a5fdbe348d43c38b3ad532774ee75b6687145874c954852d6a8c9960161f0d",
+        "210736a2e344474ce75e829ab42f20ba21342cac67851aaa760e237abb77a292",
+    ),
+    "office": (
+        "e205dc8379a849eaf6fe07475864b48ad36a213a03ed056dc07d27f2dfaece52",
+        "ff4c51a35103eacc407e02800527481de59e72afabfbce9ae3e2cdebac82e1fc",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SFT_SHA256))
+def test_golden_sft_bytes(name, vocab):
+    samples = generate_sft_dataset(load_template(name, vocab), 60, 2024, vocab)
+    digests = tuple(
+        hashlib.sha256(jsonl_bytes(extract(samples))).hexdigest()
+        for extract in (extract_sft_pairs, extract_pretrain_corpus)
+    )
+    assert digests == GOLDEN_SFT_SHA256[name]
