@@ -33,6 +33,7 @@ from .llmsli import (
     parse_llmsli,
     print_llmsli,
     program_hash,
+    significant_lines,
 )
 from .llmslb import (
     BuildingProgram,
@@ -509,8 +510,9 @@ def compile_building(b: BuildingProgram, vocab: Vocabulary) -> CompiledScene:
 
 
 def parse_source(text: str) -> SceneProgram | BuildingProgram:
-    """Parse either language, dispatched on the header keyword."""
-    head = text.lstrip().split(None, 1)[0] if text.strip() else ""
+    """Parse either language, dispatched on the keyword of the first significant line."""
+    lines = significant_lines(text)
+    head = lines[0][1].split(None, 1)[0] if lines else ""
     return parse_llmslb(text) if head == "llmslb" else parse_llmsli(text)
 
 

@@ -4,24 +4,24 @@ Every sample comes from its own sub-seed derived by hashing (seed, tag,
 index), so a dataset is reproducible record for record no matter whether it
 was generated serially or across processes.  Scenes are built
 constructively: objects are placed one at a time, each candidate cell
-checked against the already placed boxes and the template's relation rules,
-and the finished program must pass the full validator before it is emitted.
+lowered by the compiler and checked against the already placed boxes and
+the template's relation rules, and the finished program must pass the full
+validator before it is emitted.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import random
 from dataclasses import dataclass
 
-from .compiler import compile_scene
+from .compiler import compile_placement, compile_scene
 from .errors import TemplateExhausted
-from .geometry import OrientedBox, Vec3
-from .llmsli import parse_llmsli, print_llmsli
+from .geometry import OrientedBox
+from .llmsli import CellSpec, Face, GridBlock, SceneProgram, print_llmsli
 from .relations import RELATIONS
-from .templates import SceneTemplate, SurfaceRule
+from .templates import SceneTemplate
 from .validator import Footprint, footprint, footprint_intersect, validate
 from .vocab import Vocabulary, load_vocabulary
 
@@ -58,13 +58,12 @@ class DpoPair:
 class _Draft:
     """Mutable scratch state while one scene is being assembled."""
 
-    def __init__(self, t: SceneTemplate, vocab: Vocabulary) -> None:
+    def __init__(self, t: SceneTemplate) -> None:
         self.t = t
-        self.vocab = vocab
-        self.cells: dict[str, tuple[int, int, int]] = {}  # ident -> (i, j, yaw_deg)
+        # ident -> (i, j, yaw_deg), in placement order
+        self.cells: dict[str, tuple[int, int, int]] = {}
         self.boxes: dict[str, OrientedBox] = {}
         self.prints: list[Footprint] = []  # footprint() of each placed box
-        self.order: list[str] = []
         self.active_rules: list = []
 
     def occupied(self) -> set[tuple[int, int]]:
@@ -76,19 +75,6 @@ class _Draft:
         self.cells[ident] = (i, j, yaw)
         self.boxes[ident] = box
         self.prints.append(fp)
-        self.order.append(ident)
-
-
-class _RulePlacement:
-    """Just enough of a placement for the relation predicates."""
-
-    __slots__ = ("id", "identifier", "box", "parent")
-
-    def __init__(self, ident: str, box: OrientedBox) -> None:
-        self.id = ident
-        self.identifier = ident
-        self.box = box
-        self.parent = None
 
 
 def _weighted_draw(pool, n: int, rng: random.Random) -> list[str]:
@@ -135,19 +121,16 @@ def _rule_holds(rule, draft: _Draft, subject_box: OrientedBox) -> bool:
     obj_box = draft.boxes.get(rule.object)
     if obj_box is None:
         return True  # object not placed yet; final gate re-checks
-    a = _RulePlacement(rule.subject, subject_box)
-    b = _RulePlacement(rule.object, obj_box)
-    return RELATIONS[rule.relation](a, b, draft.t.grid.cell_size_m)
+    return RELATIONS[rule.relation](subject_box, obj_box, draft.t.grid.cell_size_m)
 
 
 def _try_layout(t: SceneTemplate, rng: random.Random, vocab: Vocabulary) -> _Draft | None:
     n = rng.randint(*t.count_range)
     chosen = _weighted_draw(t.object_pool, n, rng)
     active = [r for r in t.relation_rules if r.subject in chosen and r.object in chosen]
-    draft = _Draft(t, vocab)
+    draft = _Draft(t)
     grid = t.grid
     for ident in _placement_order(chosen, active, rng):
-        entry = vocab.lookup(ident)
         constraints = [r for r in active if r.subject == ident]
         occupied = draft.occupied()
         free = [
@@ -159,12 +142,7 @@ def _try_layout(t: SceneTemplate, rng: random.Random, vocab: Vocabulary) -> _Dra
             yaw_order = list(_YAWS)
             rng.shuffle(yaw_order)
             for yaw in yaw_order:
-                x, y = grid.cell_center(i, j)
-                box = OrientedBox(
-                    center=Vec3(x, y, entry.default_size.z / 2.0),
-                    size=entry.default_size,
-                    yaw=math.radians(yaw),
-                )
+                box = compile_placement(CellSpec(ident, yaw), (i, j), grid, vocab)
                 fp = footprint(box)
                 if any(footprint_intersect(fp, other) is not None for other in draft.prints):
                     continue
@@ -189,31 +167,20 @@ def _surface_items(t: SceneTemplate, draft: _Draft, rng: random.Random) -> dict[
     return out
 
 
-def _build_source(t: SceneTemplate, draft: _Draft, surface: dict[str, list[str]]) -> str:
-    grid = t.grid
-    tokens = [["0"] * grid.cols for _ in range(grid.rows)]
-    block_of: dict[str, str] = {}
-    for k, host in enumerate(h for h in draft.order if h in surface):
-        block_of[host] = f"Top{k}"
+def _scene_program(t: SceneTemplate, draft: _Draft, surface: dict[str, list[str]]) -> SceneProgram:
+    """The draft as a program; each surface host carries its items in a
+    one-column block on its top face."""
+    rows: list[list[CellSpec | None]] = [[None] * t.grid.cols for _ in range(t.grid.rows)]
+    tops: dict[str, GridBlock] = {}
     for ident, (i, j, yaw) in draft.cells.items():
-        tok = ident
-        if yaw:
-            tok += f"@{yaw}"
-        if ident in block_of:
-            tok += f"({block_of[ident]}_on_top)"
-        tokens[i][j] = tok
-    g = grid.cell_size_m
-    g_txt = str(int(g)) if g == int(g) else repr(g)
-    lines = [f"llmsli grid={g_txt}m dims={grid.rows}x{grid.cols}", "main:"]
-    lines.extend(" ".join(row) for row in tokens)
-    for host, name in block_of.items():
-        items = surface[host]
-        lines.append(f"sublayout {name} dims={len(items)}x1:")
-        lines.extend(items)
-    return "\n".join(lines) + "\n"
-
-
-_NUM_WORDS = {2: "two", 3: "three", 4: "four", 5: "five", 6: "six"}
+        refs = ()
+        if ident in surface:
+            name = f"Top{len(tops)}"
+            tops[name] = GridBlock(name, tuple((CellSpec(item),) for item in surface[ident]))
+            refs = ((name, Face.TOP),)
+        rows[i][j] = CellSpec(ident, yaw, sublayout_refs=refs)
+    main = GridBlock("main", tuple(tuple(row) for row in rows))
+    return SceneProgram(cell_size_m=t.grid.cell_size_m, blocks={"main": main, **tops})
 
 
 def _article(noun: str) -> str:
@@ -246,8 +213,8 @@ _RULE_PHRASES = {
 def _prompt_and_reasoning(
     t: SceneTemplate, draft: _Draft, surface: dict[str, list[str]], rng: random.Random
 ) -> tuple[str, str]:
-    mentions = list(draft.order)
-    for host in draft.order:
+    mentions = list(draft.cells)
+    for host in draft.cells:
         for item in surface.get(host, ()):  # keep the prompt faithful to the code
             mentions.append(f"{item} on the {host.replace('_', ' ')}")
     object_list = _listing(mentions)
@@ -261,13 +228,12 @@ def _prompt_and_reasoning(
     else:
         rule_text = "No relative placement constraints apply."
     placement_bits = []
-    for ident in draft.order:
-        i, j, yaw = draft.cells[ident]
+    for ident, (i, j, yaw) in draft.cells.items():
         bit = f"{ident.replace('_', ' ')} at row {i} column {j}"
         if yaw:
             bit += f" turned {yaw} degrees"
         placement_bits.append(bit)
-    for host in draft.order:
+    for host in draft.cells:
         for item in surface.get(host, ()):
             placement_bits.append(
                 f"{item.replace('_', ' ')} on top of the {host.replace('_', ' ')}"
@@ -303,26 +269,15 @@ def sample_scene(
         if draft is None:
             continue
         surface = _surface_items(t, draft, rng)
-        source = _build_source(t, draft, surface)
-        program = parse_llmsli(source)
-        scene = compile_scene(program, vocab)
-        report = validate(scene)
-        if not report.passed:
-            surface = {}
-            source = _build_source(t, draft, surface)
-            program = parse_llmsli(source)
-            scene = compile_scene(program, vocab)
-            report = validate(scene)
-        if not report.passed:
+        while True:
+            program = _scene_program(t, draft, surface)
+            passed = validate(compile_scene(program, vocab)).passed
+            if passed or not surface:
+                break
+            surface = {}  # retry once without the surface items
+        if not passed:
             continue
-        if not all(
-            RELATIONS[r.relation](
-                _RulePlacement(r.subject, draft.boxes[r.subject]),
-                _RulePlacement(r.object, draft.boxes[r.object]),
-                t.grid.cell_size_m,
-            )
-            for r in draft.active_rules
-        ):
+        if not all(_rule_holds(r, draft, draft.boxes[r.subject]) for r in draft.active_rules):
             continue
         prompt, reasoning = _prompt_and_reasoning(t, draft, surface, rng)
         return SftSample(

@@ -11,6 +11,7 @@ with a fresh sub-seed, so every emitted rejected program is checkably bad.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import random
 from enum import Enum
@@ -152,12 +153,7 @@ def _inject_spatial(
         for ident in (rule.subject, rule.object):
             if ident in positions:
                 i, j, cell = positions[ident]
-                flipped = CellSpec(
-                    key=cell.key,
-                    yaw_deg=(cell.yaw_deg + 180) % 360,
-                    size_override=cell.size_override,
-                    sublayout_refs=cell.sublayout_refs,
-                )
+                flipped = dataclasses.replace(cell, yaw_deg=(cell.yaw_deg + 180) % 360)
                 edits.append((ident, i, j, flipped, f"turned the {ident} around"))
         si, sj, scell = positions[rule.subject]
         free = [
@@ -168,20 +164,8 @@ def _inject_spatial(
         ]
         rng.shuffle(free)
         for ni, nj in free[:12]:
-            moved_cell = CellSpec(
-                key=scell.key,
-                yaw_deg=scell.yaw_deg,
-                size_override=scell.size_override,
-                sublayout_refs=scell.sublayout_refs,
-            )
             edits.append(
-                (
-                    "move:" + rule.subject,
-                    ni,
-                    nj,
-                    moved_cell,
-                    f"moved the {rule.subject} across the room",
-                )
+                ("move:" + rule.subject, ni, nj, scell, f"moved the {rule.subject} across the room")
             )
         rng.shuffle(edits)
         for tag, i, j, new_cell, what in edits:

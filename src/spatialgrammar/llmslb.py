@@ -170,23 +170,17 @@ def parse_llmslb(text: str) -> BuildingProgram:
     if "grid" not in pairs:
         raise ParseError("header is missing grid=<size>", line=lineno, col=1, expected=("grid=",))
 
-    g = parse_grid_value(pairs["grid"][0], lineno, pairs["grid"][1])
+    def length(key: str, noun: str, default: float) -> float:
+        if key not in pairs:
+            return default
+        value, col = pairs[key]
+        return parse_grid_value(value, lineno, col, noun)
+
+    g = parse_grid_value(pairs["grid"][0], lineno, pairs["grid"][1], "grid size")
     dims = _parse_dims(pairs["dims"][0], lineno, pairs["dims"][1]) if "dims" in pairs else None
-    height = (
-        parse_grid_value(pairs["height"][0], lineno, pairs["height"][1])
-        if "height" in pairs
-        else DEFAULT_WALL_HEIGHT_M
-    )
-    thickness = (
-        parse_grid_value(pairs["thickness"][0], lineno, pairs["thickness"][1])
-        if "thickness" in pairs
-        else DEFAULT_WALL_THICKNESS_M
-    )
-    sill = (
-        parse_grid_value(pairs["sill"][0], lineno, pairs["sill"][1])
-        if "sill" in pairs
-        else DEFAULT_WINDOW.sill_m
-    )
+    height = length("height", "wall height", DEFAULT_WALL_HEIGHT_M)
+    thickness = length("thickness", "wall thickness", DEFAULT_WALL_THICKNESS_M)
+    sill = length("sill", "sill height", DEFAULT_WINDOW.sill_m)
     door = DEFAULT_DOOR
     if "door" in pairs:
         w, h = _parse_floor_value(pairs["door"][0], lineno, pairs["door"][1])

@@ -141,7 +141,7 @@ class SceneProgram:
 
 
 def significant_lines(text: str) -> list[tuple[int, str]]:
-    """(1-based line number, stripped text) for non-blank, non-comment lines."""
+    """(1-based line number, raw text) for non-blank, non-comment lines."""
     out = []
     for n, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -258,8 +258,8 @@ def _parse_dims(s: str, lineno: int, col: int) -> tuple[int, int]:
     raise ParseError(f"malformed dims {s!r}", line=lineno, col=col, expected=("<R>x<C>",))
 
 
-def parse_grid_value(s: str, lineno: int, col: int) -> float:
-    """'<number>m' or '<number>cm' -> meters."""
+def parse_grid_value(s: str, lineno: int, col: int, what: str) -> float:
+    """'<number>m' or '<number>cm' -> meters; ``what`` names the value in errors."""
     unit = None
     if s.endswith("cm"):
         unit, num = 0.01, s[:-2]
@@ -267,15 +267,15 @@ def parse_grid_value(s: str, lineno: int, col: int) -> float:
         unit, num = 1.0, s[:-1]
     else:
         raise ParseError(
-            f"grid size needs an explicit unit: {s!r}",
+            f"{what} needs an explicit unit: {s!r}",
             line=lineno,
             col=col,
             expected=("<number>m", "<number>cm"),
         )
-    value = _parse_float(num, lineno, col, what="grid size")
+    value = _parse_float(num, lineno, col, what=what)
     g = value * unit
     if g <= 0:
-        raise ParseError(f"grid size must be positive: {s!r}", line=lineno, col=col)
+        raise ParseError(f"{what} must be positive: {s!r}", line=lineno, col=col)
     return g
 
 
@@ -507,7 +507,7 @@ def parse_llmsli(text: str) -> SceneProgram:
 
     if "grid" not in pairs:
         raise ParseError("header is missing grid=<size>", line=lineno, col=1, expected=("grid=",))
-    g = parse_grid_value(*_pair(pairs, "grid", lineno))
+    g = parse_grid_value(*_pair(pairs, "grid", lineno), "grid size")
     dims = None
     if "dims" in pairs:
         dims = _parse_dims(*_pair(pairs, "dims", lineno))

@@ -1,4 +1,4 @@
-"""Machine-checkable spatial relation predicates over compiled scenes.
+"""Machine-checkable spatial relation predicates between two boxes.
 
 These definitions are normative for the whole toolchain: the data generator
 places objects so they hold and the evaluator re-checks them.
@@ -22,6 +22,7 @@ import math
 
 from .compiler import CompiledScene, Placement
 from .errors import UnknownRelation
+from .geometry import OrientedBox
 
 _CONE_HALF_ANGLE = math.pi / 4.0 + 1e-9
 _BESIDE_CAP_CELLS = 2.0
@@ -37,54 +38,54 @@ def _bearing_offset(from_yaw: float, dx: float, dy: float) -> float | None:
     return abs(angle)
 
 
-def facing(a: Placement, b: Placement, g: float) -> bool:
-    off = _bearing_offset(a.box.yaw, b.box.center.x - a.box.center.x, b.box.center.y - a.box.center.y)
+def facing(a: OrientedBox, b: OrientedBox, g: float) -> bool:
+    off = _bearing_offset(a.yaw, b.center.x - a.center.x, b.center.y - a.center.y)
     return off is not None and off <= _CONE_HALF_ANGLE
 
 
-def in_front_of(a: Placement, b: Placement, g: float) -> bool:
-    off = _bearing_offset(b.box.yaw, a.box.center.x - b.box.center.x, a.box.center.y - b.box.center.y)
+def in_front_of(a: OrientedBox, b: OrientedBox, g: float) -> bool:
+    off = _bearing_offset(b.yaw, a.center.x - b.center.x, a.center.y - b.center.y)
     return off is not None and off <= _CONE_HALF_ANGLE
 
 
-def behind(a: Placement, b: Placement, g: float) -> bool:
-    off = _bearing_offset(b.box.yaw + math.pi, a.box.center.x - b.box.center.x, a.box.center.y - b.box.center.y)
+def behind(a: OrientedBox, b: OrientedBox, g: float) -> bool:
+    off = _bearing_offset(b.yaw + math.pi, a.center.x - b.center.x, a.center.y - b.center.y)
     return off is not None and off <= _CONE_HALF_ANGLE
 
 
-def _lateral(a: Placement, b: Placement, g: float, sign: float) -> bool:
-    dx = a.box.center.x - b.box.center.x
-    dy = a.box.center.y - b.box.center.y
+def _lateral(a: OrientedBox, b: OrientedBox, g: float, sign: float) -> bool:
+    dx = a.center.x - b.center.x
+    dy = a.center.y - b.center.y
     if math.hypot(dx, dy) > _BESIDE_CAP_CELLS * g + 1e-9:
         return False
     # b's left direction is its facing rotated +90 degrees
-    lx = -math.sin(b.box.yaw) * sign
-    ly = math.cos(b.box.yaw) * sign
+    lx = -math.sin(b.yaw) * sign
+    ly = math.cos(b.yaw) * sign
     return dx * lx + dy * ly > 1e-9
 
 
-def left_of(a: Placement, b: Placement, g: float) -> bool:
+def left_of(a: OrientedBox, b: OrientedBox, g: float) -> bool:
     return _lateral(a, b, g, 1.0)
 
 
-def right_of(a: Placement, b: Placement, g: float) -> bool:
+def right_of(a: OrientedBox, b: OrientedBox, g: float) -> bool:
     return _lateral(a, b, g, -1.0)
 
 
-def beside(a: Placement, b: Placement, g: float) -> bool:
+def beside(a: OrientedBox, b: OrientedBox, g: float) -> bool:
     return left_of(a, b, g) or right_of(a, b, g)
 
 
-def on_top(a: Placement, b: Placement, g: float) -> bool:
-    if abs(a.box.bottom_z - b.box.top_z) > _ON_TOP_TOL:
+def on_top(a: OrientedBox, b: OrientedBox, g: float) -> bool:
+    if abs(a.bottom_z - b.top_z) > _ON_TOP_TOL:
         return False
     # center of a inside b's footprint, in b's frame
-    dx = a.box.center.x - b.box.center.x
-    dy = a.box.center.y - b.box.center.y
-    c, s = math.cos(-b.box.yaw), math.sin(-b.box.yaw)
+    dx = a.center.x - b.center.x
+    dy = a.center.y - b.center.y
+    c, s = math.cos(-b.yaw), math.sin(-b.yaw)
     u = dx * c - dy * s
     v = dx * s + dy * c
-    return abs(u) <= b.box.size.x / 2.0 + 1e-9 and abs(v) <= b.box.size.y / 2.0 + 1e-9
+    return abs(u) <= b.size.x / 2.0 + 1e-9 and abs(v) <= b.size.y / 2.0 + 1e-9
 
 
 RELATIONS = {
@@ -120,4 +121,4 @@ def check_relation(s: CompiledScene, relation: str, subject: str, obj: str) -> b
     b = resolve(s, obj)
     if a is None or b is None or a.id == b.id:
         return False
-    return RELATIONS[relation](a, b, s.grid.cell_size_m)
+    return RELATIONS[relation](a.box, b.box, s.grid.cell_size_m)

@@ -154,6 +154,20 @@ class TestCompile:
         err = assert_main_usage_error(["compile", str(path), "--ceiling", "9"], capsys)
         assert "height=" in err
 
+    def test_header_error_names_its_key(self, tmp_path, capsys):
+        path = tmp_path / "shell.sgb"
+        path.write_text("llmslb grid=1m dims=1x2 height=3\nmain:\nw w\n", encoding="utf-8")
+        err = assert_main_usage_error(["compile", str(path)], capsys)
+        assert "wall height needs an explicit unit: '3'" in err
+
+
+@pytest.mark.parametrize("command", ["stats", "compile", "validate"])
+def test_comment_before_building_header(command, tmp_path, capsysbinary):
+    path = tmp_path / "shell.sgb"
+    path.write_text("# shell\nllmslb grid=1m dims=1x2\nmain:\nw w\n", encoding="utf-8")
+    assert main([command, str(path)]) == EXIT_OK
+    assert b"Traceback" not in capsysbinary.readouterr().err
+
 
 class TestValidate:
     def test_clean_exit_0(self, room, capsysbinary):

@@ -225,6 +225,26 @@ class TestSampleScene:
         with pytest.raises(TemplateExhausted):
             sample_scene(t, 0, vocab)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ceiling_object_leaves_the_floor_free(self, vocab, seed):
+        doc = {
+            "name": "hall",
+            "room_label": "hall",
+            "grid": {"cell_size": 1.0, "rows": 1, "cols": 3},
+            "object_pool": [{"key": "sofa"}, {"key": "pendant_light"}],
+            "count_range": [2, 2],
+            "relation_rules": [],
+            "surface_rules": [],
+            "prompt_templates": ["x {room} {object_list}"],
+            "reasoning_templates": ["y {placement_text}"],
+        }
+        # the sofa fits the floor only turned along the row from the middle
+        # cell; the light hangs from the ceiling, so it may sit above it
+        sample = sample_scene(template_from_dict(doc), seed, vocab)
+        scene = compile_scene(parse_llmsli(sample.code), vocab)
+        assert {p.identifier for p in scene.placements} == {"sofa", "pendant_light"}
+        assert validate(scene).passed
+
 
 class TestDataset:
     def test_exact_count_unique(self, living_room, vocab):

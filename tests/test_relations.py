@@ -21,12 +21,16 @@ from spatialgrammar.relations import (
 from spatialgrammar.vocab import Category
 
 
-def at(x, y, yaw=0.0, z=0.4, size=(0.8, 0.8, 0.8), pid="p", ident=None):
+def at(x, y, yaw=0.0, z=0.4, size=(0.8, 0.8, 0.8)):
+    return OrientedBox(Vec3(x, y, z), Vec3(*size), yaw)
+
+
+def placed(box, pid):
     return Placement(
         id=pid,
-        identifier=ident or pid.rsplit("_", 1)[0],
+        identifier=pid.rsplit("_", 1)[0],
         category=Category.FLOOR_FURNITURE,
-        box=OrientedBox(Vec3(x, y, z), Vec3(*size), yaw),
+        box=box,
         parent=None,
         depth=0,
         source=Provenance("main", 0, 0, 0),
@@ -134,25 +138,25 @@ class TestLateral:
 
 class TestOnTop:
     def test_resting(self):
-        table = at(0, 0, z=0.35, size=(1.2, 0.6, 0.7), pid="table_0")
-        vase = at(0.2, 0.1, z=0.85, size=(0.1, 0.1, 0.3), pid="vase_0")
+        table = at(0, 0, z=0.35, size=(1.2, 0.6, 0.7))
+        vase = at(0.2, 0.1, z=0.85, size=(0.1, 0.1, 0.3))
         assert on_top(vase, table, G)
 
     def test_hovering_fails(self):
-        table = at(0, 0, z=0.35, size=(1.2, 0.6, 0.7), pid="table_0")
-        vase = at(0, 0, z=1.0, size=(0.1, 0.1, 0.3), pid="vase_0")
+        table = at(0, 0, z=0.35, size=(1.2, 0.6, 0.7))
+        vase = at(0, 0, z=1.0, size=(0.1, 0.1, 0.3))
         assert not on_top(vase, table, G)
 
     def test_center_outside_footprint(self):
-        table = at(0, 0, z=0.35, size=(1.2, 0.6, 0.7), pid="table_0")
-        vase = at(1.0, 0, z=0.85, size=(0.1, 0.1, 0.3), pid="vase_0")
+        table = at(0, 0, z=0.35, size=(1.2, 0.6, 0.7))
+        vase = at(1.0, 0, z=0.85, size=(0.1, 0.1, 0.3))
         assert not on_top(vase, table, G)
 
     def test_rotated_footprint(self):
-        table = at(0, 0, z=0.35, size=(2.0, 0.4, 0.7), yaw=math.pi / 2, pid="table_0")
+        table = at(0, 0, z=0.35, size=(2.0, 0.4, 0.7), yaw=math.pi / 2)
         # after rotation the long axis lies along y
-        on_long = at(0, 0.8, z=0.85, size=(0.1, 0.1, 0.3), pid="vase_0")
-        off_side = at(0.8, 0, z=0.85, size=(0.1, 0.1, 0.3), pid="cup_0")
+        on_long = at(0, 0.8, z=0.85, size=(0.1, 0.1, 0.3))
+        off_side = at(0.8, 0, z=0.85, size=(0.1, 0.1, 0.3))
         assert on_top(on_long, table, G)
         assert not on_top(off_side, table, G)
 
@@ -165,17 +169,17 @@ class TestTranslationInvariance:
     )
     @settings(max_examples=120, deadline=None)
     def test_shift_both(self, dx, dy, rel):
-        a0 = at(0.7, -0.3, yaw=0.8, z=0.75 + 0.15, size=(0.3, 0.3, 0.3), pid="a_0")
-        b0 = at(0.0, 0.0, yaw=0.3, z=0.45, size=(2.0, 1.2, 0.9), pid="b_0")
-        a1 = at(0.7 + dx, -0.3 + dy, yaw=0.8, z=0.9, size=(0.3, 0.3, 0.3), pid="a_0")
-        b1 = at(dx, dy, yaw=0.3, z=0.45, size=(2.0, 1.2, 0.9), pid="b_0")
+        a0 = at(0.7, -0.3, yaw=0.8, z=0.75 + 0.15, size=(0.3, 0.3, 0.3))
+        b0 = at(0.0, 0.0, yaw=0.3, z=0.45, size=(2.0, 1.2, 0.9))
+        a1 = at(0.7 + dx, -0.3 + dy, yaw=0.8, z=0.9, size=(0.3, 0.3, 0.3))
+        b1 = at(dx, dy, yaw=0.3, z=0.45, size=(2.0, 1.2, 0.9))
         fn = RELATIONS[rel]
         assert fn(a0, b0, G) == fn(a1, b1, G)
 
 
 def tiny_scene():
-    sofa = at(0, 0, pid="sofa_0", ident="sofa")
-    table = at(2, 0, pid="coffee_table_0", ident="coffee_table")
+    sofa = placed(at(0, 0), "sofa_0")
+    table = placed(at(2, 0), "coffee_table_0")
     return CompiledScene(grid=GridSpec(1.0, 4, 4), placements=(sofa, table))
 
 
