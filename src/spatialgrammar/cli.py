@@ -106,11 +106,10 @@ def _cmd_compile(args) -> int:
 
 def _cmd_validate(args) -> int:
     vocab = load_vocabulary(args.vocab)
-    program, scene = compile_source(_read(args.file), vocab)
+    _, scene = compile_source(_read(args.file), vocab)
     config = ValidatorConfig(
         eps=args.eps if args.eps is not None else ValidatorConfig.eps,
         tol=args.tol if args.tol is not None else ValidatorConfig.tol,
-        floor_extent_m=getattr(program, "floor_extent_m", None),
     )
     report = validate(scene, config)
     if args.report == "json":

@@ -29,6 +29,9 @@ SCHEMA_VERSION = 1
 
 _YAWS = (0, 90, 180, 270)
 
+_MAX_ATTEMPTS = 24  # layouts one sample_scene call tries
+_OVERSAMPLE = 4  # candidate seeds per requested sample
+
 
 def derive_subseed(seed: int, tag: str, index: int) -> int:
     digest = hashlib.sha256(f"{seed}:{tag}:{index}".encode("utf-8")).digest()
@@ -255,7 +258,6 @@ def sample_scene(
     t: SceneTemplate,
     seed: int,
     vocab: Vocabulary | None = None,
-    max_attempts: int = 24,
 ) -> SftSample:
     """One validated sample, deterministic in the seed.
 
@@ -264,7 +266,7 @@ def sample_scene(
     """
     vocab = vocab or load_vocabulary()
     rng = random.Random(seed)
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         draft = _try_layout(t, rng, vocab)
         if draft is None:
             continue
@@ -287,7 +289,7 @@ def sample_scene(
             validated=True,
         )
     raise TemplateExhausted(
-        f"template {t.name!r} produced no valid scene in {max_attempts} attempts "
+        f"template {t.name!r} produced no valid scene in {_MAX_ATTEMPTS} attempts "
         f"for seed {seed}"
     )
 
@@ -310,7 +312,6 @@ def generate_sft_dataset(
     seed: int,
     vocab: Vocabulary | None = None,
     workers: int = 0,
-    oversample: int = 4,
 ) -> list[SftSample]:
     """Exactly n deduplicated validated samples.
 
@@ -321,7 +322,7 @@ def generate_sft_dataset(
     if n < 1:
         raise ValueError("n must be at least 1")
     vocab = vocab or load_vocabulary()
-    budget = oversample * n
+    budget = _OVERSAMPLE * n
     args = [(t, derive_subseed(seed, t.name, i), vocab) for i in range(budget)]
     out: list[SftSample] = []
     seen: set[str] = set()

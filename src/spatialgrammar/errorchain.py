@@ -16,7 +16,7 @@ import logging
 import random
 from enum import Enum
 
-from .compiler import compile_placement, compile_scene
+from .compiler import CompiledScene, compile_placement, compile_scene
 from .datagen import DpoPair, SftSample, derive_subseed
 from .errors import (
     ChainFailed,
@@ -47,6 +47,8 @@ CHAIN_ORDER = (ErrorType.SEMANTIC, ErrorType.SPATIAL, ErrorType.COLLISION, Error
 
 _CHAIN_SIZES = (2, 3)
 
+_MAX_RETRIES = 16  # chain re-rolls before error_chain gives up
+
 
 # ---------------------------------------------------------------------------
 # program surgery
@@ -62,31 +64,20 @@ def _with_cell(p: SceneProgram, block: str, i: int, j: int, cell: CellSpec | Non
     )
 
 
-def _main_objects(p: SceneProgram) -> list[tuple[int, int, CellSpec]]:
-    return list(p.main.occupied())
-
-
-def _ident_of(cell: CellSpec, vocab: Vocabulary) -> str:
-    return vocab.lookup(cell.key).identifier
-
-
-def _collisions_of(p: SceneProgram, vocab: Vocabulary) -> int:
-    return len(check_collisions(compile_scene(p, vocab)))
-
-
 # ---------------------------------------------------------------------------
-# individual injectors
+# program injectors: each takes the compiled unedited program
 
 
 def _inject_semantic(
-    p: SceneProgram, rng: random.Random, vocab: Vocabulary, template: SceneTemplate | None
+    scene: CompiledScene, rng: random.Random, vocab: Vocabulary, template: SceneTemplate | None
 ) -> tuple[SceneProgram, str]:
     """Swap one object for something that does not belong in this room."""
-    targets = _main_objects(p)
+    p = scene.program
+    targets = list(p.main.occupied())
     if not targets:
         raise InjectionFailed("no objects to replace")
     rng.shuffle(targets)
-    baseline = _collisions_of(p, vocab)
+    baseline = len(check_collisions(scene))
     if template is not None:
         allowed = {key for key, _ in template.object_pool}
         allowed.update(r.item for r in template.surface_rules)
@@ -94,8 +85,8 @@ def _inject_semantic(
     else:
         allowed = None
     for i, j, cell in targets:
-        old = _ident_of(cell, vocab)
-        old_cat = vocab.lookup(cell.key).category
+        old_entry = vocab.lookup(cell.key)
+        old = old_entry.identifier
         candidates = []
         for entry in vocab:
             if entry.identifier == old:
@@ -103,7 +94,7 @@ def _inject_semantic(
             if allowed is not None:
                 if entry.identifier not in allowed:
                     candidates.append(entry.identifier)
-            elif entry.category is not old_cat:
+            elif entry.category is not old_entry.category:
                 candidates.append(entry.identifier)
         candidates.sort()
         rng.shuffle(candidates)
@@ -119,7 +110,7 @@ def _inject_semantic(
             )
             try:
                 # the swap must stand on its own: no accidental collisions
-                if _collisions_of(replaced, vocab) != baseline:
+                if len(check_collisions(compile_scene(replaced, vocab))) != baseline:
                     continue
             except SpatialGrammarError:
                 continue
@@ -128,12 +119,12 @@ def _inject_semantic(
 
 
 def _inject_spatial(
-    p: SceneProgram, rng: random.Random, vocab: Vocabulary, template: SceneTemplate | None
+    scene: CompiledScene, rng: random.Random, vocab: Vocabulary, template: SceneTemplate | None
 ) -> tuple[SceneProgram, str]:
     """Break one of the template's recorded relation rules."""
     if template is None or not template.relation_rules:
         raise InjectionFailed("no recorded relation rules to break")
-    scene = compile_scene(p, vocab)
+    p = scene.program
     present = {pl.identifier for pl in scene.placements}
     rules = [
         r
@@ -146,15 +137,15 @@ def _inject_spatial(
     rng.shuffle(rules)
     baseline = len(check_collisions(scene))
     positions = {
-        _ident_of(cell, vocab): (i, j, cell) for i, j, cell in _main_objects(p)
+        vocab.lookup(cell.key).identifier: (i, j, cell) for i, j, cell in p.main.occupied()
     }
     for rule in rules:
-        edits = []
+        edits = []  # (moves the subject, i, j, cell, what)
         for ident in (rule.subject, rule.object):
             if ident in positions:
                 i, j, cell = positions[ident]
                 flipped = dataclasses.replace(cell, yaw_deg=(cell.yaw_deg + 180) % 360)
-                edits.append((ident, i, j, flipped, f"turned the {ident} around"))
+                edits.append((False, i, j, flipped, f"turned the {ident} around"))
         si, sj, scell = positions[rule.subject]
         free = [
             (i, j)
@@ -164,16 +155,11 @@ def _inject_spatial(
         ]
         rng.shuffle(free)
         for ni, nj in free[:12]:
-            edits.append(
-                ("move:" + rule.subject, ni, nj, scell, f"moved the {rule.subject} across the room")
-            )
+            edits.append((True, ni, nj, scell, f"moved the {rule.subject} across the room"))
         rng.shuffle(edits)
-        for tag, i, j, new_cell, what in edits:
-            if tag.startswith("move:"):
-                cleared = _with_cell(p, "main", si, sj, None)
-                candidate = _with_cell(cleared, "main", i, j, new_cell)
-            else:
-                candidate = _with_cell(p, "main", i, j, new_cell)
+        for move, i, j, new_cell, what in edits:
+            base = _with_cell(p, "main", si, sj, None) if move else p
+            candidate = _with_cell(base, "main", i, j, new_cell)
             try:
                 cscene = compile_scene(candidate, vocab)
             except SpatialGrammarError:
@@ -190,21 +176,18 @@ def _inject_spatial(
 
 
 def _inject_collision(
-    p: SceneProgram, rng: random.Random, vocab: Vocabulary, template: SceneTemplate | None
+    scene: CompiledScene, rng: random.Random, vocab: Vocabulary, template: SceneTemplate | None
 ) -> tuple[SceneProgram, str]:
     """Relocate one object so its footprint provably overlaps another's.
 
     A root box depends only on its cell, its grid position and the default
     ceiling, so each candidate move tests two boxes from compile_placement;
-    a move never changes whether the program compiles, so one compile of p
-    up front stands for them all."""
-    objects = _main_objects(p)
+    a move never changes whether the program compiles, so the compile of the
+    unedited program stands for them all."""
+    p = scene.program
+    objects = list(p.main.occupied())
     if len(objects) < 2:
         raise InjectionFailed("need two objects for a collision")
-    try:
-        compile_scene(p, vocab)
-    except SpatialGrammarError:
-        raise InjectionFailed("no relocation produced an overlap") from None
     grid = p.grid
     rng.shuffle(objects)
     for ai, aj, acell in objects:
@@ -228,12 +211,19 @@ def _inject_collision(
                 if obb_intersect(a_box, b_box) is None:
                     continue
                 moved = _with_cell(_with_cell(p, "main", ai, aj, None), "main", ni, nj, acell)
-                a_ident = _ident_of(acell, vocab)
-                b_ident = _ident_of(bcell, vocab)
+                a_ident = vocab.lookup(acell.key).identifier
+                b_ident = vocab.lookup(bcell.key).identifier
                 return moved, (
                     f"moved the {a_ident} next to the {b_ident} so their footprints overlap"
                 )
     raise InjectionFailed("no relocation produced an overlap")
+
+
+_PROGRAM_INJECTORS = {
+    ErrorType.SEMANTIC: _inject_semantic,
+    ErrorType.SPATIAL: _inject_spatial,
+    ErrorType.COLLISION: _inject_collision,
+}
 
 
 def _corrupt_lines(text: str, rng: random.Random) -> tuple[str, str] | None:
@@ -316,13 +306,11 @@ def inject_error(
     rng = random.Random(seed)
     if error_type is ErrorType.SYNTAX:
         return _inject_syntax(code, rng)
-    program = parse_llmsli(code)
-    if error_type is ErrorType.SEMANTIC:
-        program, what = _inject_semantic(program, rng, vocab, template)
-    elif error_type is ErrorType.SPATIAL:
-        program, what = _inject_spatial(program, rng, vocab, template)
-    else:
-        program, what = _inject_collision(program, rng, vocab, template)
+    try:
+        scene = compile_scene(parse_llmsli(code), vocab)
+    except SpatialGrammarError:
+        raise InjectionFailed("the program does not compile") from None
+    program, what = _PROGRAM_INJECTORS[error_type](scene, rng, vocab, template)
     return print_llmsli(program), what
 
 
@@ -353,7 +341,6 @@ def error_chain(
     seed: int,
     vocab: Vocabulary | None = None,
     template: SceneTemplate | None = None,
-    max_retries: int = 16,
 ) -> tuple[str, list[dict]]:
     """2-3 distinct typed injections, re-rolled until the result verifiably
     fails the toolchain."""
@@ -374,7 +361,7 @@ def error_chain(
         raise ChainFailed(f"only {len(feasible)} corruption types apply to this scene")
 
     sizes = [k for k in _CHAIN_SIZES if k <= len(feasible)]
-    for attempt in range(max_retries):
+    for attempt in range(_MAX_RETRIES):
         sub = derive_subseed(seed, "chain", attempt)
         rng = random.Random(sub)
         k = rng.choice(sizes)
@@ -392,7 +379,7 @@ def error_chain(
             continue
         if classify_failure(code, vocab) != "none":
             return code, errors
-    raise ChainFailed(f"no verifiably invalid corruption found in {max_retries} tries")
+    raise ChainFailed(f"no verifiably invalid corruption found in {_MAX_RETRIES} tries")
 
 
 def generate_dpo_pairs(

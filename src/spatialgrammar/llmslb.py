@@ -39,6 +39,7 @@ from .llmsli import (
     header_pairs,
     parse_cell_token,
     parse_grid_value,
+    parse_length,
     split_program,
     tokens_with_cols,
 )
@@ -180,7 +181,9 @@ def parse_llmslb(text: str) -> BuildingProgram:
     dims = _parse_dims(pairs["dims"][0], lineno, pairs["dims"][1]) if "dims" in pairs else None
     height = length("height", "wall height", DEFAULT_WALL_HEIGHT_M)
     thickness = length("thickness", "wall thickness", DEFAULT_WALL_THICKNESS_M)
-    sill = length("sill", "sill height", DEFAULT_WINDOW.sill_m)
+    sill = DEFAULT_WINDOW.sill_m
+    if "sill" in pairs:
+        sill = parse_length(pairs["sill"][0], lineno, pairs["sill"][1], "sill height")
     door = DEFAULT_DOOR
     if "door" in pairs:
         w, h = _parse_floor_value(pairs["door"][0], lineno, pairs["door"][1])
@@ -230,7 +233,23 @@ def parse_llmslb(text: str) -> BuildingProgram:
     )
     check_block_graph(blocks, block_refs, program.root_refs())
     _check_orphan_openings(program, main_sec)
+    _check_opening_heights(program, lineno)
     return program
+
+
+def _check_opening_heights(p: BuildingProgram, lineno: int) -> None:
+    """An opening that the grid uses must not rise above its wall."""
+    used = {cell.symbol for _, _, cell in p.structural_cells()}
+    for symbol, opening in ((StructSymbol.DOOR, p.door), (StructSymbol.WINDOW, p.window)):
+        top = opening.sill_m + opening.height_m
+        # the slack absorbs the rounding of sill + height, e.g. 0.9 + 1.2
+        if symbol in used and top > p.wall_height_m + 1e-9:
+            raise ParseError(
+                f"{symbol.name.lower()} top at {top:g}m is above the wall height "
+                f"{p.wall_height_m:g}m",
+                line=lineno,
+                col=1,
+            )
 
 
 def _check_orphan_openings(p: BuildingProgram, main_sec: Section) -> None:

@@ -258,8 +258,9 @@ def _parse_dims(s: str, lineno: int, col: int) -> tuple[int, int]:
     raise ParseError(f"malformed dims {s!r}", line=lineno, col=col, expected=("<R>x<C>",))
 
 
-def parse_grid_value(s: str, lineno: int, col: int, what: str) -> float:
-    """'<number>m' or '<number>cm' -> meters; ``what`` names the value in errors."""
+def parse_length(s: str, lineno: int, col: int, what: str) -> float:
+    """'<number>m' or '<number>cm' -> meters, zero included; ``what`` names
+    the value in errors."""
     unit = None
     if s.endswith("cm"):
         unit, num = 0.01, s[:-2]
@@ -272,8 +273,12 @@ def parse_grid_value(s: str, lineno: int, col: int, what: str) -> float:
             col=col,
             expected=("<number>m", "<number>cm"),
         )
-    value = _parse_float(num, lineno, col, what=what)
-    g = value * unit
+    return _parse_float(num, lineno, col, what=what) * unit
+
+
+def parse_grid_value(s: str, lineno: int, col: int, what: str) -> float:
+    """A parse_length that must be positive."""
+    g = parse_length(s, lineno, col, what)
     if g <= 0:
         raise ParseError(f"{what} must be positive: {s!r}", line=lineno, col=col)
     return g
@@ -309,7 +314,7 @@ def parse_cell_token(
     lineno: int,
     col: int,
     faces: dict[str, object],
-    refs_out: list[tuple[str, object, int, int]] | None = None,
+    refs_out: list[tuple[str, object, int, int]],
 ) -> CellSpec | None:
     """Parse one cell token.  ``faces`` maps face names to enum values; references
     are appended to ``refs_out`` as (name, face, line, col) for later resolution."""
@@ -402,8 +407,7 @@ def parse_cell_token(
             )
         seen_faces.add(face)
         refs.append((name, face))
-        if refs_out is not None:
-            refs_out.append((name, face, lineno, col + start))
+        refs_out.append((name, face, lineno, col + start))
 
     if pos < n:
         raise err(f"unexpected character {tok[pos]!r} in cell token")

@@ -27,7 +27,7 @@ TOL_DEFAULT = 1e-6
 class ValidatorConfig:
     eps: float = EPS_DEFAULT
     tol: float = TOL_DEFAULT
-    floor_extent_m: tuple[float, float] | None = None
+    floor_extent_m: tuple[float, float] | None = None  # overrides the program's floor=
 
     def __post_init__(self) -> None:
         _check_tolerance("eps", self.eps)
@@ -303,7 +303,10 @@ def check_bounds(
     building: CompiledScene | None = None,
 ) -> list[BoundsDiagnostic]:
     """Report non-structural placements whose footprint leaves the floor
-    rectangle, or the wall envelope when a building scene is given."""
+    rectangle, or the wall envelope when a building scene is given.  The
+    floor is ``floor_extent_m``, else the program's ``floor=``, else the grid."""
+    if floor_extent_m is None:
+        floor_extent_m = getattr(s.program, "floor_extent_m", None)
     g = s.grid.cell_size_m
     lo_x = lo_y = -g / 2.0
     if building is not None and building.structural:
@@ -359,11 +362,7 @@ def validate(s: CompiledScene, config: ValidatorConfig | None = None) -> Validat
     collisions = tuple(check_collisions(s, config.eps))
     support = tuple(check_support(s, config.tol))
     bounds = tuple(
-        check_bounds(
-            s,
-            floor_extent_m=config.floor_extent_m,
-            building=s if s.structural else None,
-        )
+        check_bounds(s, config.floor_extent_m, building=s if s.structural else None)
     )
     return ValidationReport(
         collisions=collisions,

@@ -161,6 +161,34 @@ class TestCompile:
         assert "wall height needs an explicit unit: '3'" in err
 
 
+@pytest.mark.parametrize("command", ["compile", "validate", "check-building"])
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        (
+            "llmslb grid=1m dims=1x3 sill=3m\nmain:\nw c w\n",
+            "window top at 4.2m is above the wall height 2.6m",
+        ),
+        (
+            "llmslb grid=1m dims=1x3 height=1.5m\nmain:\nw d w\n",
+            "door top at 2m is above the wall height 1.5m",
+        ),
+    ],
+    ids=["window", "door"],
+)
+def test_opening_above_wall_exit_2(command, source, message, tmp_path, capsys):
+    path = tmp_path / "shell.sgb"
+    path.write_text(source, encoding="utf-8")
+    assert message in assert_main_usage_error([command, str(path)], capsys)
+
+
+def test_floor_length_window(tmp_path, capsysbinary):
+    path = tmp_path / "shell.sgb"
+    path.write_text("llmslb grid=1m dims=1x3 sill=0m\nmain:\nw c w\n", encoding="utf-8")
+    assert main(["compile", str(path)]) == EXIT_OK
+    assert b'"sill":0.000000' in capsysbinary.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["stats", "compile", "validate"])
 def test_comment_before_building_header(command, tmp_path, capsysbinary):
     path = tmp_path / "shell.sgb"

@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 
 import pytest
 
+from spatialgrammar.cli import main as cli_main
 from spatialgrammar.compiler import compile_placement, compile_scene
 from spatialgrammar.datagen import derive_subseed, dpo_records, generate_sft_dataset, jsonl_bytes
 from spatialgrammar.errorchain import (
@@ -18,6 +20,15 @@ from spatialgrammar.llmsli import parse_llmsli
 from spatialgrammar.relations import check_relation
 from spatialgrammar.templates import load_template
 from spatialgrammar.validator import check_collisions, validate
+
+
+# the sofa's corner (5.95, 2.45) is past the 6x6 grid but inside the 7x7 m floor
+FLOOR_PROGRAM = (
+    "llmsli grid=1m dims=6x6 floor=7x7m\nmain:\n"
+    "0 0 0 0 0 0\n0 0 tv_stand 0 0 0\n0 0 0 0 0 0\n"
+    "0 0 coffee_table 0 0 0\n0 0 0 0 0 0\n0 0 sofa@180 0 0 0\n"
+)
+UNCOMPILABLE = "llmsli grid=1m dims=1x2\nmain:\nsofa unicorn\n"
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +64,10 @@ class TestClassifyFailure:
     def test_bounds(self, vocab):
         code = "llmsli grid=1m dims=2x2\nmain:\nsofa 0\n0 0\n"
         assert classify_failure(code, vocab) == "bounds"
+
+    def test_program_floor_extent(self, vocab):
+        # the sofa is past the grid but inside floor=, so `sgc validate` passes it
+        assert classify_failure(FLOOR_PROGRAM, vocab) == "none"
 
 
 class TestInjectors:
@@ -182,10 +197,11 @@ class TestCollisionRootBoxes:
         ],
         ids=["unknown-identifier", "empty-sublayout"],
     )
-    def test_uncompilable_program_fails(self, code, vocab):
+    @pytest.mark.parametrize("error_type", ["collision", "semantic", "spatial"])
+    def test_uncompilable_program_fails(self, code, error_type, vocab, living_room):
         parse_llmsli(code)
         with pytest.raises(InjectionFailed):
-            inject_error(code, "collision", seed=1, vocab=vocab)
+            inject_error(code, error_type, seed=1, vocab=vocab, template=living_room)
 
 
 class TestErrorChain:
@@ -215,6 +231,17 @@ class TestErrorChain:
             )
             if any(e["type"] == "syntax" for e in errors):
                 assert classify_failure(corrupted, vocab) == "syntax"
+
+    def test_rejected_fails_sgc_validate(self, vocab, living_room, tmp_path):
+        path = tmp_path / "rejected.sg"
+        for seed in range(40):
+            rejected, errors = error_chain(FLOOR_PROGRAM, seed, vocab, living_room)
+            path.write_text(rejected, encoding="utf-8")
+            assert cli_main(["validate", str(path)]) != 0, (seed, errors)
+
+    def test_uncompilable_program_fails(self, vocab, living_room):
+        with pytest.raises(ChainFailed):
+            error_chain(UNCOMPILABLE, seed=1, vocab=vocab, template=living_room)
 
     def test_deterministic(self, samples, vocab, living_room):
         a = error_chain(samples[2].code, seed=9, vocab=vocab, template=living_room)
@@ -272,6 +299,13 @@ class TestDpoPairs:
         assert generate_dpo_pairs([], seed=1, vocab=vocab, template=living_room) == []
         with pytest.raises(ChainFailed):
             generate_dpo_pairs([], seed=1, vocab=vocab, template=living_room, n=1)
+
+    def test_uncompilable_sample_is_skipped(self, samples, vocab, living_room):
+        bad = dataclasses.replace(samples[0], code=UNCOMPILABLE)
+        (pair,) = generate_dpo_pairs(
+            [bad, samples[1]], seed=1, vocab=vocab, template=living_room, n=1
+        )
+        assert pair.chosen == samples[1].code
 
     def test_variant_seeds_differ(self):
         assert derive_subseed(3, "dpo0", 1) != derive_subseed(3, "dpo1", 1)

@@ -566,6 +566,17 @@ class TestCheckBounds:
         assert check_bounds(scene, floor_extent_m=(2.0, 2.0)) == []
         assert len(check_bounds(scene, floor_extent_m=(1.0, 1.0))) == 1
 
+    def test_program_floor_extent(self, vocab):
+        # the sofa reaches y=1.95, past the 2x2 grid's edge at 1.5 but inside
+        # the 3x3 m floor; every caller of the validator gets the program's floor=
+        body = "main:\n0 0\n0 sofa@90\n"
+        scene = compile_scene(parse_llmsli("llmsli grid=1m dims=2x2 floor=3x3m\n" + body), vocab)
+        assert check_bounds(scene) == []
+        assert validate(scene).passed
+        gridded = compile_scene(parse_llmsli("llmsli grid=1m dims=2x2\n" + body), vocab)
+        assert [d.id for d in check_bounds(gridded)] == ["sofa_0"]
+        assert validate(gridded).passed is False
+
     def test_building_envelope(self, vocab):
         ring = (
             "llmslb grid=1m dims=4x4\nmain:\n"
