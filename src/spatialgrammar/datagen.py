@@ -4,9 +4,9 @@ Every sample comes from its own sub-seed derived by hashing (seed, tag,
 index), so a dataset is reproducible record for record no matter whether it
 was generated serially or across processes.  Scenes are built
 constructively: objects are placed one at a time, each candidate cell
-lowered by the compiler and checked against the already placed boxes and
-the template's relation rules, and the finished program must pass the full
-validator before it is emitted.
+lowered by the compiler and checked against the floor bounds, the already
+placed boxes and the template's relation rules, and the finished program
+must pass the full validator before it is emitted.
 """
 
 from __future__ import annotations
@@ -16,13 +16,21 @@ import json
 import random
 from dataclasses import dataclass
 
-from .compiler import compile_placement, compile_scene
+from .compiler import CompiledScene, compile_placement, compile_scene
 from .errors import TemplateExhausted
 from .geometry import OrientedBox
 from .llmsli import CellSpec, Face, GridBlock, SceneProgram, print_llmsli
 from .relations import RELATIONS
 from .templates import SceneTemplate
-from .validator import Footprint, footprint, footprint_intersect, validate
+from .validator import (
+    Footprint,
+    ValidationReport,
+    floor_rect,
+    footprint,
+    footprint_intersect,
+    footprint_on_floor,
+    validate,
+)
 from .vocab import Vocabulary, load_vocabulary
 
 SCHEMA_VERSION = 1
@@ -133,6 +141,7 @@ def _try_layout(t: SceneTemplate, rng: random.Random, vocab: Vocabulary) -> _Dra
     active = [r for r in t.relation_rules if r.subject in chosen and r.object in chosen]
     draft = _Draft(t)
     grid = t.grid
+    rect = floor_rect(grid)
     for ident in _placement_order(chosen, active, rng):
         constraints = [r for r in active if r.subject == ident]
         occupied = draft.occupied()
@@ -147,6 +156,8 @@ def _try_layout(t: SceneTemplate, rng: random.Random, vocab: Vocabulary) -> _Dra
             for yaw in yaw_order:
                 box = compile_placement(CellSpec(ident, yaw), (i, j), grid, vocab)
                 fp = footprint(box)
+                if not footprint_on_floor(fp, rect):
+                    continue
                 if any(footprint_intersect(fp, other) is not None for other in draft.prints):
                     continue
                 if not all(_rule_holds(r, draft, box) for r in constraints):
@@ -184,6 +195,15 @@ def _scene_program(t: SceneTemplate, draft: _Draft, surface: dict[str, list[str]
         rows[i][j] = CellSpec(ident, yaw, sublayout_refs=refs)
     main = GridBlock("main", tuple(tuple(row) for row in rows))
     return SceneProgram(cell_size_m=t.grid.cell_size_m, blocks={"main": main, **tops})
+
+
+def _names_surface_item(report: ValidationReport, scene: CompiledScene) -> bool:
+    """Whether a diagnostic of the report names a placement with a parent."""
+    items = {p.id for p in scene.placements if p.parent is not None}
+    named = {d.id for d in report.support_failures + report.bounds_violations}
+    for c in report.collisions:
+        named.update((c.a_id, c.b_id))
+    return not items.isdisjoint(named)
 
 
 def _article(noun: str) -> str:
@@ -271,13 +291,14 @@ def sample_scene(
         if draft is None:
             continue
         surface = _surface_items(t, draft, rng)
-        while True:
-            program = _scene_program(t, draft, surface)
-            passed = validate(compile_scene(program, vocab)).passed
-            if passed or not surface:
-                break
+        program = _scene_program(t, draft, surface)
+        scene = compile_scene(program, vocab)
+        report = validate(scene)
+        if not report.passed and _names_surface_item(report, scene):
             surface = {}  # retry once without the surface items
-        if not passed:
+            program = _scene_program(t, draft, surface)
+            report = validate(compile_scene(program, vocab))
+        if not report.passed:
             continue
         if not all(_rule_holds(r, draft, draft.boxes[r.subject]) for r in draft.active_rules):
             continue

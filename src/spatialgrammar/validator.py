@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .compiler import CompiledScene, Placement
 from .errors import ConfigError
-from .geometry import OrientedBox
+from .geometry import GridSpec, OrientedBox
 from .llmsli import Face
 from .vocab import Category
 
@@ -129,7 +129,7 @@ class ValidationReport:
 
 # Boxes whose ground-plane AABBs are apart by more than this are disjoint by
 # a margin far above the rounding of the separating-axis test, so dropping
-# them changes no verdict at any eps >= 0.  check_bounds allows the same slack.
+# them changes no verdict at any eps >= 0.  floor_rect() allows the same slack.
 _SLACK = 1e-9
 
 # (bottom_z, top_z, corners, face axes, min_x, max_x, min_y, max_y)
@@ -297,17 +297,16 @@ def check_support(s: CompiledScene, tol: float = TOL_DEFAULT) -> list[SupportDia
     return out
 
 
-def check_bounds(
-    s: CompiledScene,
+def floor_rect(
+    grid: GridSpec,
     floor_extent_m: tuple[float, float] | None = None,
     building: CompiledScene | None = None,
-) -> list[BoundsDiagnostic]:
-    """Report non-structural placements whose footprint leaves the floor
-    rectangle, or the wall envelope when a building scene is given.  The
-    floor is ``floor_extent_m``, else the program's ``floor=``, else the grid."""
-    if floor_extent_m is None:
-        floor_extent_m = getattr(s.program, "floor_extent_m", None)
-    g = s.grid.cell_size_m
+) -> tuple[float, float, float, float]:
+    """(lo_x, hi_x, lo_y, hi_y) a footprint corner may reach without leaving
+    the floor, widened by _SLACK: the wall envelope when a building scene with
+    walls is given, else ``floor_extent_m`` from the outer corner of cell
+    (0, 0), else the grid."""
+    g = grid.cell_size_m
     lo_x = lo_y = -g / 2.0
     if building is not None and building.structural:
         xs: list[float] = []
@@ -322,12 +321,31 @@ def check_bounds(
         hi_x = lo_x + floor_extent_m[0]
         hi_y = lo_y + floor_extent_m[1]
     else:
-        hi_x = (s.grid.rows - 0.5) * g
-        hi_y = (s.grid.cols - 0.5) * g
+        hi_x = (grid.rows - 0.5) * g
+        hi_y = (grid.cols - 0.5) * g
+    return (lo_x - _SLACK, hi_x + _SLACK, lo_y - _SLACK, hi_y + _SLACK)
+
+
+def footprint_on_floor(fp: Footprint, rect: tuple[float, float, float, float]) -> bool:
+    """True when every corner of the footprint lies inside floor_rect()."""
+    return rect[0] <= fp[4] and fp[5] <= rect[1] and rect[2] <= fp[6] and fp[7] <= rect[3]
+
+
+def check_bounds(
+    s: CompiledScene,
+    floor_extent_m: tuple[float, float] | None = None,
+    building: CompiledScene | None = None,
+) -> list[BoundsDiagnostic]:
+    """Report non-structural placements whose footprint leaves floor_rect().
+    The floor is ``floor_extent_m``, else the program's ``floor=``, else the
+    grid; a building scene's wall envelope replaces it."""
+    if floor_extent_m is None:
+        floor_extent_m = getattr(s.program, "floor_extent_m", None)
+    lo_x, hi_x, lo_y, hi_y = floor_rect(s.grid, floor_extent_m, building)
     out: list[BoundsDiagnostic] = []
     for p in s.placements:
         for cx, cy in p.box.footprint_corners():
-            if lo_x - _SLACK <= cx <= hi_x + _SLACK and lo_y - _SLACK <= cy <= hi_y + _SLACK:
+            if lo_x <= cx <= hi_x and lo_y <= cy <= hi_y:
                 continue
             out.append(
                 BoundsDiagnostic(

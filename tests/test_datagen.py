@@ -1,8 +1,10 @@
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
+from spatialgrammar import datagen
 from spatialgrammar.compiler import compile_scene
 from spatialgrammar.datagen import (
     SCHEMA_VERSION,
@@ -22,7 +24,7 @@ from spatialgrammar.templates import (
     template_from_dict,
     validate_template,
 )
-from spatialgrammar.validator import validate
+from spatialgrammar.validator import BoundsDiagnostic, validate
 
 
 @pytest.fixture(scope="module")
@@ -245,6 +247,104 @@ class TestSampleScene:
         assert {p.identifier for p in scene.placements} == {"sofa", "pendant_light"}
         assert validate(scene).passed
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ceiling_object_does_not_exhaust_the_sampler(self, vocab, seed):
+        doc = {
+            "name": "den",
+            "room_label": "den",
+            "grid": {"cell_size": 1.0, "rows": 3, "cols": 3},
+            "object_pool": [{"key": "sofa"}, {"key": "ceiling_fan"}],
+            "count_range": [2, 2],
+            "relation_rules": [],
+            "surface_rules": [],
+            "prompt_templates": ["x {room} {object_list}"],
+            "reasoning_templates": ["y {placement_text}"],
+        }
+        # the fan no longer blocks a floor cell, so the search itself must
+        # keep the sofa off the cells where it would leave the floor
+        sample = sample_scene(template_from_dict(doc), seed, vocab)
+        scene = compile_scene(parse_llmsli(sample.code), vocab)
+        assert {p.identifier for p in scene.placements} == {"sofa", "ceiling_fan"}
+        assert validate(scene).passed
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(datagen, name)
+
+    def wrapped(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(datagen, name, wrapped)
+    return calls
+
+
+class TestSamplerWork:
+    @pytest.mark.parametrize("name", PACKAGED_TEMPLATES)
+    def test_one_compile_and_one_validate_per_sample(self, name, vocab, monkeypatch):
+        compiles = _counting(monkeypatch, "compile_scene")
+        reports = _counting(monkeypatch, "validate")
+        samples = generate_sft_dataset(load_template(name, vocab), 60, 2024, vocab)
+        assert len(samples) == 60
+        assert len(compiles) == 60
+        assert len(reports) == 60
+        assert all(r.passed for r in reports)
+
+    @staticmethod
+    def _template():
+        return template_from_dict(
+            {
+                "name": "nook",
+                "room_label": "nook",
+                "grid": {"cell_size": 1.0, "rows": 3, "cols": 3},
+                "object_pool": [{"key": "side_table"}],
+                "count_range": [1, 1],
+                "relation_rules": [],
+                "surface_rules": [{"host": "side_table", "item": "vase", "prob": 1.0}],
+                "prompt_templates": ["x {room} {object_list}"],
+                "reasoning_templates": ["y {placement_text}"],
+            }
+        )
+
+    def _fail_first(self, monkeypatch, pick):
+        """Make the first validate call fail with a bounds diagnostic on the
+        placement pick(scene) returns; count the compiles."""
+        compiles = _counting(monkeypatch, "compile_scene")
+        real = datagen.validate
+        calls = []
+
+        def validate_once_failing(scene, *args):
+            calls.append(scene)
+            report = real(scene, *args)
+            if len(calls) > 1:
+                return report
+            bad = BoundsDiagnostic(id=pick(scene).id, corner=(0.0, 0.0), message="forced")
+            return dataclasses.replace(report, bounds_violations=(bad,), passed=False)
+
+        monkeypatch.setattr(datagen, "validate", validate_once_failing)
+        return compiles
+
+    def test_root_failure_skips_the_strip_retry(self, vocab, monkeypatch):
+        compiles = self._fail_first(
+            monkeypatch, lambda s: next(p for p in s.placements if p.parent is None)
+        )
+        sample = sample_scene(self._template(), 0, vocab)
+        # the failed layout is dropped whole; the next attempt keeps its vase
+        assert len(compiles) == 2
+        assert [p.parent for p in compiles[0].placements] == [None, "side_table_0"]
+        assert "vase" in sample.code
+
+    def test_surface_item_failure_retries_without_items(self, vocab, monkeypatch):
+        compiles = self._fail_first(
+            monkeypatch, lambda s: next(p for p in s.placements if p.parent is not None)
+        )
+        sample = sample_scene(self._template(), 0, vocab)
+        assert len(compiles) == 2
+        assert [p.identifier for p in compiles[1].placements] == ["side_table"]
+        assert "vase" not in sample.code
+
 
 class TestDataset:
     def test_exact_count_unique(self, living_room, vocab):
@@ -301,16 +401,16 @@ class TestExtraction:
 # SHA-256 of `sgc gen-data --stage sft|pretrain --n 60 --seed 2024` output
 GOLDEN_SFT_SHA256 = {
     "bedroom": (
-        "e794735fec10b4a351578373a8cd77d79c9cc31089c23da92c871685cb0e0f79",
-        "23b7873a2ad57448b1ea6e6a89665edabd82ab633f208a92787d3cb23f71f72b",
+        "fbce8f1d1adec3a3ccbdfd4c38ba8527625ffa5073ffb1f3c670463c425a6169",
+        "4f7ed0c1eb5672e78a92beb425235a3fc4a1f021c0fa8c23848e68155a0bd08c",
     ),
     "living_room": (
-        "59a5fdbe348d43c38b3ad532774ee75b6687145874c954852d6a8c9960161f0d",
-        "210736a2e344474ce75e829ab42f20ba21342cac67851aaa760e237abb77a292",
+        "4203d69d91a473154f2b61fa4d2d085556db0d447c6d77e347430e4572e79892",
+        "445b846f4a6f01bdb42794b792313dec53c7b27d734a73bb464d04e673957e55",
     ),
     "office": (
-        "e205dc8379a849eaf6fe07475864b48ad36a213a03ed056dc07d27f2dfaece52",
-        "ff4c51a35103eacc407e02800527481de59e72afabfbce9ae3e2cdebac82e1fc",
+        "1cd47a3525a7c1f87cf5a15850707c516789a9f0da43591e4ee48b2cdcf2fa70",
+        "cb8a9ea51b74dc3e7315d7584949ad6359118a79f0342c080ed49cfd887ed31b",
     ),
 }
 

@@ -313,9 +313,9 @@ class TestDpoPairs:
 
 # SHA-256 of `sgc gen-data --stage dpo --n 45 --base-n 14 --seed 2024` output
 GOLDEN_DPO_SHA256 = {
-    "bedroom": "869145a20f1976089633f584f40367adfcb5949bb4f5434e9ac82cafc4d4fb1d",
-    "living_room": "498e6f1b056d20f8474395d67043ac1b9b3f2a808f070db8fa99e312b4859f15",
-    "office": "b1e707b92c461c2383ae7f7bfd4d4e0e6d2804ac9f7560519ff4fd0f7e6407dd",
+    "bedroom": "aeb35327050be718aae1f3ad3dc780d4f58b1063825d243a1fd4bb73a9637e6b",
+    "living_room": "ece9bc253d719264e4465a6902c0ff376c206ad2572e4c5f43540df27242bf77",
+    "office": "74cd49bb75c0075df819e4fadf0bb06ca35d294d1e7fbef58888e85ee0add031",
 }
 
 

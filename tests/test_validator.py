@@ -11,11 +11,12 @@ from spatialgrammar.compiler import (
     Placement,
     Provenance,
     compile_building,
+    compile_placement,
     compile_scene,
 )
 from spatialgrammar.errors import ConfigError
 from spatialgrammar.geometry import GridSpec, OrientedBox, Vec3
-from spatialgrammar.llmsli import parse_llmsli
+from spatialgrammar.llmsli import CellSpec, GridBlock, SceneProgram, parse_llmsli
 from spatialgrammar.llmslb import parse_llmslb
 from spatialgrammar.validator import (
     ValidationReport,
@@ -24,6 +25,9 @@ from spatialgrammar.validator import (
     check_collisions,
     check_support,
     collision_rate,
+    floor_rect,
+    footprint,
+    footprint_on_floor,
     obb_intersect,
     report_text,
     validate,
@@ -596,6 +600,76 @@ class TestCheckBounds:
         ring = "llmslb grid=1m dims=4x4\nmain:\nw w w w\nw 0 0 w\nw 0 0 w\nw w w w\n"
         scene = compile_building(parse_llmslb(ring), vocab)
         assert check_bounds(scene, building=scene) == []
+
+
+def _one_box_scene(vocab, cell_size, rows, cols, at, key, yaw, size, floor):
+    cells = [[None] * cols for _ in range(rows)]
+    cells[at[0]][at[1]] = CellSpec(key, yaw, size_override=size)
+    main = GridBlock("main", tuple(tuple(row) for row in cells))
+    program = SceneProgram(cell_size_m=cell_size, blocks={"main": main}, floor_extent_m=floor)
+    return compile_scene(program, vocab)
+
+
+@st.composite
+def one_box_scenes(draw):
+    """A single object anywhere on a small grid, edge cells included, at any
+    integer yaw; sizes and floors are often whole or half cells, so boxes
+    land exactly on an edge."""
+    g = draw(st.sampled_from([0.5, 0.75, 1.0, 1.5]))
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    at = (draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1)))
+    key = draw(st.sampled_from(["sofa", "side_table", "ceiling_fan", "bookshelf"]))
+    yaw = draw(st.one_of(st.sampled_from([0, 90, 180, 270, -90, 450]), st.integers(-720, 720)))
+    length = st.one_of(
+        st.integers(1, 8).map(lambda k: k * g / 2.0),
+        st.floats(0.05, 4.0, allow_nan=False, allow_infinity=False),
+    )
+    size = draw(st.none() | st.tuples(length, length, st.floats(0.1, 2.0)))
+    extra = st.one_of(
+        st.just(0.0), st.integers(1, 4).map(lambda k: k * g / 2.0), st.floats(0.0, 3.0)
+    )
+    floor = draw(
+        st.none() | st.tuples(extra, extra).map(lambda e: (rows * g + e[0], cols * g + e[1]))
+    )
+    return g, rows, cols, at, key, yaw, size, floor
+
+
+class TestFloorRectEquivalence:
+    """The sampler's in-search test and check_bounds give one answer."""
+
+    @staticmethod
+    def _sampler_says_inside(vocab, g, rows, cols, at, key, yaw, size, floor):
+        grid = GridSpec(g, rows, cols)
+        box = compile_placement(CellSpec(key, yaw, size_override=size), at, grid, vocab)
+        return footprint_on_floor(footprint(box), floor_rect(grid, floor))
+
+    @settings(max_examples=400, deadline=None)
+    @given(one_box_scenes())
+    def test_matches_check_bounds(self, vocab, case):
+        scene = _one_box_scene(vocab, *case)
+        assert self._sampler_says_inside(vocab, *case) == (not check_bounds(scene))
+
+    @pytest.mark.parametrize(
+        "case, inside",
+        [
+            # a 1 m box on every corner cell of a 3x3 grid touches two edges
+            ((1.0, 3, 3, (0, 0), "sofa", 0, (1.0, 1.0, 1.0), None), True),
+            ((1.0, 3, 3, (2, 2), "sofa", 90, (1.0, 1.0, 1.0), None), True),
+            ((1.0, 3, 3, (2, 0), "sofa", 270, (1.0, 1.0, 1.0), None), True),
+            # a whole-floor box at yaw 90 touches all four edges
+            ((1.0, 3, 3, (1, 1), "side_table", 90, (3.0, 3.0, 1.0), None), True),
+            ((1.0, 3, 3, (1, 1), "side_table", 0, (3.0001, 3.0, 1.0), None), False),
+            # a larger floor= takes a box the grid would reject
+            ((1.0, 2, 2, (1, 1), "sofa", 90, None, None), False),
+            ((1.0, 2, 2, (1, 1), "sofa", 90, None, (3.0, 3.0)), True),
+            ((0.5, 4, 4, (3, 3), "ceiling_fan", 0, None, (2.5, 2.5)), True),
+            ((0.5, 4, 4, (3, 3), "ceiling_fan", 0, None, None), False),
+        ],
+    )
+    def test_edges(self, vocab, case, inside):
+        scene = _one_box_scene(vocab, *case)
+        assert self._sampler_says_inside(vocab, *case) is inside
+        assert (not check_bounds(scene)) is inside
 
 
 class TestValidate:
