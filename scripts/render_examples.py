@@ -11,6 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from spatialgrammar.cli import run_reporting_errors
 from spatialgrammar.compiler import compile_source
 from spatialgrammar.export import export_scene
 from spatialgrammar.validator import report_text, validate
@@ -84,4 +85,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_reporting_errors(main))

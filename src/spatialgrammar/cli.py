@@ -151,6 +151,9 @@ def _cmd_gen_data(args) -> int:
         if value is not None and value < least:
             print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
             return EXIT_USAGE
+    if args.base_n is not None and args.stage != "dpo":
+        print(f"error: --base-n applies to --stage dpo only, not {args.stage}", file=sys.stderr)
+        return EXIT_USAGE
     vocab = load_vocabulary(args.vocab)
     template = load_template(args.template, vocab)
     out_path = args.out or f"{args.stage}.jsonl"

@@ -40,6 +40,7 @@ from .llmslb import (
     Run,
     StructSymbol,
     WallFace,
+    _flood,
     check_closure,
     parse_llmslb,
     print_llmslb,
@@ -119,12 +120,6 @@ class CompiledScene:
 
     def all_placements(self) -> tuple[Placement, ...]:
         return self.structural + self.placements
-
-    def by_id(self, pid: str) -> Placement:
-        for p in self.all_placements():
-            if p.id == pid:
-                return p
-        raise KeyError(pid)
 
 
 @dataclass(frozen=True)
@@ -365,24 +360,9 @@ _NORMAL_TO_FACE = {(1, 0): Face.FRONT, (-1, 0): Face.BACK, (0, 1): Face.LEFT, (0
 def _exterior_cells(b: BuildingProgram) -> set[tuple[int, int]]:
     """Empty cells reachable from outside the grid by orthogonal flood fill."""
     n_rows, n_cols = len(b.cells), len(b.cells[0])
-    blocked = {(i, j) for i, j, _ in b.structural_cells()}
-    outside: set[tuple[int, int]] = set()
-    stack = []
-    for i in range(n_rows):
-        for j in (0, n_cols - 1):
-            stack.append((i, j))
-    for j in range(n_cols):
-        for i in (0, n_rows - 1):
-            stack.append((i, j))
-    while stack:
-        i, j = stack.pop()
-        if not (0 <= i < n_rows and 0 <= j < n_cols):
-            continue
-        if (i, j) in blocked or (i, j) in outside:
-            continue
-        outside.add((i, j))
-        stack.extend(((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)))
-    return outside
+    empty = {(i, j) for i, row in enumerate(b.cells) for j, cell in enumerate(row) if cell is None}
+    border = {(i, j) for i, j in empty if i in (0, n_rows - 1) or j in (0, n_cols - 1)}
+    return _flood(border, empty)
 
 
 def compile_building(b: BuildingProgram, vocab: Vocabulary) -> CompiledScene:

@@ -40,9 +40,6 @@ class Vec3:
     def __sub__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
 
-    def scaled(self, k: float) -> "Vec3":
-        return Vec3(self.x * k, self.y * k, self.z * k)
-
     def rotated_z(self, yaw: float) -> "Vec3":
         """Rotate about the world z axis by yaw radians."""
         c, s = math.cos(yaw), math.sin(yaw)
@@ -136,11 +133,6 @@ class GridSpec:
 
     def cell_center(self, i: int, j: int) -> tuple[float, float]:
         return (i * self.cell_size_m, j * self.cell_size_m)
-
-    @property
-    def extent_m(self) -> tuple[float, float]:
-        """Covered floor rectangle (x extent, y extent)."""
-        return (self.rows * self.cell_size_m, self.cols * self.cell_size_m)
 
 
 def grid_dimensions(floor_extent_m: tuple[float, float], cell_size_m: float) -> tuple[int, int]:

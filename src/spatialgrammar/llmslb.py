@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import DanglingBlockError, OrphanOpeningError, ParseError
 from .geometry import GridSpec
@@ -119,12 +119,6 @@ class BuildingProgram:
         if self.ceiling_block is not None:
             refs.append(self.ceiling_block)
         return refs
-
-    def symbol_at(self, i: int, j: int) -> StructSymbol | None:
-        if 0 <= i < len(self.cells) and 0 <= j < len(self.cells[0]):
-            cell = self.cells[i][j]
-            return cell.symbol if cell is not None else None
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +256,6 @@ def _check_orphan_openings(p: BuildingProgram, main_sec: Section) -> None:
         if cell.symbol is StructSymbol.WALL:
             continue
         if any(
-            p.symbol_at(i + di, j + dj) is StructSymbol.WALL
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1))
-        ):
-            continue
-        if any(
             any(p.cells[a][b].symbol is StructSymbol.WALL for a, b in run.cells)
             for run in run_of.get((i, j), ())
         ):
@@ -296,41 +285,39 @@ class Run:
     cells: tuple[tuple[int, int], ...]
 
 
+def _neighbors(c: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+    i, j = c
+    return ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1))
+
+
+def _flood(
+    starts: Iterable[tuple[int, int]], passable: set[tuple[int, int]]
+) -> set[tuple[int, int]]:
+    """Cells 4-connected to ``starts`` (all in ``passable``) through ``passable``."""
+    reached = set(starts)
+    stack = list(reached)
+    while stack:
+        for nb in _neighbors(stack.pop()):
+            if nb in passable and nb not in reached:
+                reached.add(nb)
+                stack.append(nb)
+    return reached
+
+
 def wall_runs(p: BuildingProgram) -> list[Run]:
     occupied = {(i, j) for i, j, _ in p.structural_cells()}
-    n_rows = len(p.cells)
-    n_cols = len(p.cells[0]) if p.cells else 0
     runs: list[Run] = []
-    covered: set[tuple[int, int]] = set()
-
-    for j in range(n_cols):  # runs along x: scan each column
-        i = 0
-        while i < n_rows:
-            if (i, j) in occupied:
-                start = i
-                while i < n_rows and (i, j) in occupied:
-                    i += 1
-                if i - start >= 2:
-                    cells = tuple((k, j) for k in range(start, i))
-                    runs.append(Run(axis=0, cells=cells))
-                    covered.update(cells)
-            else:
-                i += 1
-    for i in range(n_rows):  # runs along y: scan each row
-        j = 0
-        while j < n_cols:
-            if (i, j) in occupied:
-                start = j
-                while j < n_cols and (i, j) in occupied:
-                    j += 1
-                if j - start >= 2:
-                    cells = tuple((i, k) for k in range(start, j))
-                    runs.append(Run(axis=1, cells=cells))
-                    covered.update(cells)
-            else:
-                j += 1
-    for cell in sorted(occupied - covered):
-        runs.append(Run(axis=0, cells=(cell,)))
+    for axis, (di, dj) in enumerate(((1, 0), (0, 1))):
+        for i, j in occupied:
+            if (i - di, j - dj) in occupied:
+                continue  # not the first cell of its run along this axis
+            n = 1
+            while (i + n * di, j + n * dj) in occupied:
+                n += 1
+            # a cell with no occupied neighbor is a 1-cell run, listed once
+            if n >= 2 or (axis == 0 and occupied.isdisjoint(_neighbors((i, j)))):
+                cells = tuple((i + k * di, j + k * dj) for k in range(n))
+                runs.append(Run(axis=axis, cells=cells))
     runs.sort(key=lambda r: (r.axis, r.cells[0]))
     return runs
 
@@ -358,29 +345,15 @@ def check_closure(p: BuildingProgram) -> list[ClosureDiagnostic]:
     named explicitly.
     """
     occupied = {(i, j) for i, j, _ in p.structural_cells()}
-
-    def neighbors(c: tuple[int, int]) -> list[tuple[int, int]]:
-        i, j = c
-        return [(i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)]
-
     seen: set[tuple[int, int]] = set()
     diagnostics: list[ClosureDiagnostic] = []
     for start in sorted(occupied):
         if start in seen:
             continue
-        component = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            cur = stack.pop()
-            component.append(cur)
-            for nb in neighbors(cur):
-                if nb in occupied and nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        component.sort()
+        component = sorted(_flood([start], occupied))
+        seen.update(component)
         endpoints = tuple(
-            c for c in component if sum(1 for nb in neighbors(c) if nb in occupied) < 2
+            c for c in component if sum(1 for nb in _neighbors(c) if nb in occupied) < 2
         )
         if not endpoints:
             continue
@@ -388,8 +361,8 @@ def check_closure(p: BuildingProgram) -> list[ClosureDiagnostic]:
         if len(endpoints) == 2:
             shared = [
                 c
-                for c in neighbors(endpoints[0])
-                if c in neighbors(endpoints[1]) and c not in occupied
+                for c in _neighbors(endpoints[0])
+                if c in _neighbors(endpoints[1]) and c not in occupied
             ]
             if shared:
                 gap = sorted(shared)[0]

@@ -94,35 +94,6 @@ class ValidationReport:
             "passed": self.passed,
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ValidationReport":
-        return cls(
-            collisions=tuple(
-                CollisionDiagnostic(
-                    a_id=c["a_id"],
-                    b_id=c["b_id"],
-                    a_cell=tuple(c["a_cell"]),
-                    b_cell=tuple(c["b_cell"]),
-                    penetration_depth_m=c["penetration_depth_m"],
-                    message=c["message"],
-                )
-                for c in doc["collisions"]
-            ),
-            support_failures=tuple(
-                SupportDiagnostic(
-                    id=d["id"], parent=d["parent"], gap_m=d["gap_m"], message=d["message"]
-                )
-                for d in doc["support_failures"]
-            ),
-            bounds_violations=tuple(
-                BoundsDiagnostic(id=d["id"], corner=tuple(d["corner"]), message=d["message"])
-                for d in doc["bounds_violations"]
-            ),
-            warnings=tuple(doc["warnings"]),
-            cr_obj_percent=doc["cr_obj_percent"],
-            passed=doc["passed"],
-        )
-
 
 # ---------------------------------------------------------------------------
 # intersection

@@ -186,9 +186,10 @@ def test_criterion_03_stacked_children_rest_exactly():
         checked = 0
         for _ in range(1_000):
             _, scene = compile_source(_random_stacked_source(rng), VOCAB)
+            by_id = {p.id: p for p in scene.placements}
             for p in scene.placements:
                 if p.source.face is Face.TOP:
-                    parent = scene.by_id(p.parent)
+                    parent = by_id[p.parent]
                     assert abs(p.box.bottom_z - parent.box.top_z) < 1e-9
                     checked += 1
         assert checked >= 1_000

@@ -422,6 +422,14 @@ class TestGenData:
         assert len(proc.stderr.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("stage", ["sft", "pretrain"])
+    def test_base_n_outside_dpo_rejected(self, stage, tmp_path, capsys):
+        out = tmp_path / "never.jsonl"
+        argv = ["gen-data", "--template", "office", "--n", "2", "--seed", "1",
+                "--stage", stage, "--base-n", "5", "--out", str(out)]
+        assert "--base-n" in assert_main_usage_error(argv, capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "doc",
         [{}, [1], {**OFFICE, "count_range": [3, 65]}, {**OFFICE, "prompt_templates": ["{bogus}"]}],
@@ -465,6 +473,27 @@ class TestGenerateCorpusScript:
         )
         assert_usage_error(proc)
         assert not out.exists()
+
+
+class TestStudyScripts:
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--cells", "0"],
+            ["--floor", "0x0"],
+            ["--cells", "2", "--floor", "0.5x0.5"],
+            ["--floor", "nanxnan"],
+            ["--samples", "0"],
+            ["--floor", "1x1", "--cells", "1"],
+        ],
+    )
+    def test_grid_size_study_bad_input(self, extra):
+        assert_usage_error(run_python("scripts/grid_size_study.py", *extra))
+
+    def test_render_examples_out_is_a_file(self, tmp_path):
+        out = tmp_path / "renders"
+        out.write_text("", encoding="utf-8")
+        assert_usage_error(run_python("scripts/render_examples.py", "--out", str(out)))
 
 
 class TestEval:

@@ -333,10 +333,12 @@ class TestPoseRecovery:
         rotated = compile_scene(
             parse_llmsli(NESTED.replace("desk@90", "desk@180")), vocab
         )
-        root = base.by_id("desk_0").box
+        base_by_id = {p.id: p for p in base.placements}
+        rotated_by_id = {p.id: p for p in rotated.placements}
+        root = base_by_id["desk_0"].box
         r = rot_z(math.pi / 2.0)[:3, :3]
         for pid in ("desk_0", "monitor_0", "vase_0"):
-            a, b = base.by_id(pid).box, rotated.by_id(pid).box
+            a, b = base_by_id[pid].box, rotated_by_id[pid].box
             rel = np.array((a.center - root.center).as_tuple())
             expect = np.array(root.center.as_tuple()) + r @ rel
             assert np.allclose(np.array(b.center.as_tuple()), expect, atol=1e-9)

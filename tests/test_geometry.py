@@ -23,7 +23,6 @@ class TestVec3:
         b = Vec3(0.5, -1.0, 2.0)
         assert (a + b).as_tuple() == (1.5, 1.0, 5.0)
         assert (a - b).as_tuple() == (0.5, 3.0, 1.0)
-        assert a.scaled(2.0).as_tuple() == (2.0, 4.0, 6.0)
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
@@ -115,10 +114,6 @@ class TestGridSpec:
     def test_zero_cell_size(self):
         with pytest.raises(ZeroCellSize):
             GridSpec(cell_size_m=0.0, rows=1, cols=1)
-
-    def test_extent(self):
-        g = GridSpec(cell_size_m=2.0, rows=3, cols=3)
-        assert g.extent_m == (6.0, 6.0)
 
 
 class TestGridDimensions:

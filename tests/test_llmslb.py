@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from spatialgrammar.compiler import _exterior_cells
 from spatialgrammar.errors import (
     CycleError,
     DanglingBlockError,
@@ -11,6 +13,9 @@ from spatialgrammar.llmslb import (
     DEFAULT_WALL_HEIGHT_M,
     DEFAULT_WALL_THICKNESS_M,
     BuildingProgram,
+    ClosureDiagnostic,
+    Run,
+    StructCell,
     StructSymbol,
     WallFace,
     check_closure,
@@ -18,7 +23,7 @@ from spatialgrammar.llmslb import (
     print_llmslb,
     wall_runs,
 )
-from spatialgrammar.llmsli import program_stats
+from spatialgrammar.llmsli import program_stats, split_program, tokens_with_cols
 
 HUGE = "9" * 400  # a decimal literal that float() turns into inf
 
@@ -254,6 +259,197 @@ class TestOrphans:
     def test_opening_reached_through_run(self):
         # c touches only d, but their run contains a wall
         parse_llmslb("llmslb grid=1m dims=1x3\nmain:\nw d c\n")
+
+
+# ---------------------------------------------------------------------------
+# reference shell analysis: the two-scan run finder, the two hand-written
+# flood fills and the orphan check with its adjacency fast path, kept as the
+# parent implementation that the shared scanner and flood must reproduce
+
+
+def ref_wall_runs(p: BuildingProgram) -> list[Run]:
+    occupied = {(i, j) for i, j, _ in p.structural_cells()}
+    n_rows = len(p.cells)
+    n_cols = len(p.cells[0]) if p.cells else 0
+    runs: list[Run] = []
+    covered: set[tuple[int, int]] = set()
+
+    for j in range(n_cols):  # runs along x: scan each column
+        i = 0
+        while i < n_rows:
+            if (i, j) in occupied:
+                start = i
+                while i < n_rows and (i, j) in occupied:
+                    i += 1
+                if i - start >= 2:
+                    cells = tuple((k, j) for k in range(start, i))
+                    runs.append(Run(axis=0, cells=cells))
+                    covered.update(cells)
+            else:
+                i += 1
+    for i in range(n_rows):  # runs along y: scan each row
+        j = 0
+        while j < n_cols:
+            if (i, j) in occupied:
+                start = j
+                while j < n_cols and (i, j) in occupied:
+                    j += 1
+                if j - start >= 2:
+                    cells = tuple((i, k) for k in range(start, j))
+                    runs.append(Run(axis=1, cells=cells))
+                    covered.update(cells)
+            else:
+                j += 1
+    for cell in sorted(occupied - covered):
+        runs.append(Run(axis=0, cells=(cell,)))
+    runs.sort(key=lambda r: (r.axis, r.cells[0]))
+    return runs
+
+
+def ref_check_closure(p: BuildingProgram) -> list[ClosureDiagnostic]:
+    occupied = {(i, j) for i, j, _ in p.structural_cells()}
+
+    def neighbors(c: tuple[int, int]) -> list[tuple[int, int]]:
+        i, j = c
+        return [(i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)]
+
+    seen: set[tuple[int, int]] = set()
+    diagnostics: list[ClosureDiagnostic] = []
+    for start in sorted(occupied):
+        if start in seen:
+            continue
+        component = []
+        stack = [start]
+        seen.add(start)
+        while stack:
+            cur = stack.pop()
+            component.append(cur)
+            for nb in neighbors(cur):
+                if nb in occupied and nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        component.sort()
+        endpoints = tuple(
+            c for c in component if sum(1 for nb in neighbors(c) if nb in occupied) < 2
+        )
+        if not endpoints:
+            continue
+        gap = None
+        if len(endpoints) == 2:
+            shared = [
+                c
+                for c in neighbors(endpoints[0])
+                if c in neighbors(endpoints[1]) and c not in occupied
+            ]
+            if shared:
+                gap = sorted(shared)[0]
+        message = "wall component is not a closed loop: open ends at " + ", ".join(
+            f"({i},{j})" for i, j in endpoints
+        )
+        if gap is not None:
+            message += f"; possible gap at ({gap[0]},{gap[1]})"
+        diagnostics.append(
+            ClosureDiagnostic(
+                component=tuple(component), endpoints=endpoints, gap=gap, message=message
+            )
+        )
+    return diagnostics
+
+
+def ref_exterior_cells(b: BuildingProgram) -> set[tuple[int, int]]:
+    n_rows, n_cols = len(b.cells), len(b.cells[0])
+    blocked = {(i, j) for i, j, _ in b.structural_cells()}
+    outside: set[tuple[int, int]] = set()
+    stack = []
+    for i in range(n_rows):
+        for j in (0, n_cols - 1):
+            stack.append((i, j))
+    for j in range(n_cols):
+        for i in (0, n_rows - 1):
+            stack.append((i, j))
+    while stack:
+        i, j = stack.pop()
+        if not (0 <= i < n_rows and 0 <= j < n_cols):
+            continue
+        if (i, j) in blocked or (i, j) in outside:
+            continue
+        outside.add((i, j))
+        stack.extend(((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)))
+    return outside
+
+
+def ref_check_orphan_openings(p: BuildingProgram, source: str) -> None:
+    def symbol_at(i: int, j: int) -> StructSymbol | None:
+        if 0 <= i < len(p.cells) and 0 <= j < len(p.cells[0]):
+            cell = p.cells[i][j]
+            return cell.symbol if cell is not None else None
+        return None
+
+    main_sec = split_program(source, "llmslb")[1][0]
+    run_of: dict[tuple[int, int], list[Run]] = {}
+    for run in ref_wall_runs(p):
+        for cell in run.cells:
+            run_of.setdefault(cell, []).append(run)
+    for i, j, cell in p.structural_cells():
+        if cell.symbol is StructSymbol.WALL:
+            continue
+        if any(
+            symbol_at(i + di, j + dj) is StructSymbol.WALL
+            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1))
+        ):
+            continue
+        if any(
+            any(p.cells[a][b].symbol is StructSymbol.WALL for a, b in run.cells)
+            for run in run_of.get((i, j), ())
+        ):
+            continue
+        line, raw = main_sec.rows[i]
+        raise OrphanOpeningError(
+            f"{'door' if cell.symbol is StructSymbol.DOOR else 'window'} at cell ({i},{j}) "
+            "has no adjacent wall",
+            line=line,
+            col=tokens_with_cols(raw)[j][1],
+        )
+
+
+_STRUCT = {"w": StructSymbol.WALL, "d": StructSymbol.DOOR, "c": StructSymbol.WINDOW}
+
+
+@st.composite
+def shell_grids(draw) -> list[list[str]]:
+    n_rows, n_cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    row = st.lists(st.sampled_from("wdc0"), min_size=n_cols, max_size=n_cols)
+    return [draw(row) for _ in range(n_rows)]
+
+
+def _outcome(fn, *args) -> tuple:
+    try:
+        return ("ok", fn(*args))
+    except ParseError as exc:
+        return (type(exc), exc.message, exc.line, exc.col)
+
+
+class TestShellAnalysisEquivalence:
+    @given(shell_grids())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_reference(self, grid):
+        source = f"llmslb grid=1m dims={len(grid)}x{len(grid[0])}\nmain:\n" + "".join(
+            " ".join(row) + "\n" for row in grid
+        )
+        p = BuildingProgram(
+            cell_size_m=1.0,
+            cells=tuple(
+                tuple(StructCell(_STRUCT[s]) if s in _STRUCT else None for s in row)
+                for row in grid
+            ),
+        )
+        assert wall_runs(p) == ref_wall_runs(p)
+        assert check_closure(p) == ref_check_closure(p)
+        assert _exterior_cells(p) == ref_exterior_cells(p)
+        want = _outcome(ref_check_orphan_openings, p, source)
+        if want == ("ok", None):
+            want = ("ok", p)
+        assert _outcome(parse_llmslb, source) == want
 
 
 class TestCanonicalPrint:

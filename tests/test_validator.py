@@ -19,7 +19,6 @@ from spatialgrammar.geometry import GridSpec, OrientedBox, Vec3
 from spatialgrammar.llmsli import CellSpec, GridBlock, SceneProgram, parse_llmsli
 from spatialgrammar.llmslb import parse_llmslb
 from spatialgrammar.validator import (
-    ValidationReport,
     ValidatorConfig,
     check_bounds,
     check_collisions,
@@ -721,11 +720,6 @@ class TestValidate:
         box = OrientedBox(Vec3(0.5, 0.5, 0.5), Vec3(1, 1, 1), 0.0)
         scene = scene_of_boxes([box], GridSpec(1.0, 2, 2))
         assert validate(scene, ValidatorConfig(floor_extent_m=(1.0, 1.0))).passed is False
-
-    def test_report_round_trip(self, vocab):
-        src = "llmsli grid=1m dims=4x4\nmain:\n0 0 0 0\n0 sofa 0 0\n0 coffee_table 0 0\n0 0 0 0\n"
-        report = validate(compile_scene(parse_llmsli(src), vocab))
-        assert ValidationReport.from_dict(report.to_dict()) == report
 
     def test_report_text(self, vocab):
         src = "llmsli grid=1m dims=4x4\nmain:\n0 0 0 0\n0 sofa 0 0\n0 coffee_table 0 0\n0 0 0 0\n"
