@@ -40,7 +40,12 @@ def main() -> int:
     ap.add_argument("--sft-n", type=int, default=2_800)
     ap.add_argument("--dpo-n", type=int, default=9_000)
     ap.add_argument("--seed", type=int, default=20_24)
-    ap.add_argument("--workers", type=int, default=0)
+    ap.add_argument(
+        "--workers",
+        type=int,
+        default=0,
+        help="sampling processes, capped at the CPU count (default 0: serial)",
+    )
     ap.add_argument("--vocab", default=None, help="path to an object vocabulary TSV")
     args = ap.parse_args()
     for flag, value, least in (

@@ -63,7 +63,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--stage", choices=("sft", "pretrain", "dpo"), default="sft")
     p.add_argument("--out", default=None, help="output path (default <stage>.jsonl)")
-    p.add_argument("--workers", type=int, default=0)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=0,
+        help="sampling processes, capped at the CPU count (default 0: serial); "
+        "the output does not depend on it",
+    )
     p.add_argument(
         "--base-n",
         type=int,

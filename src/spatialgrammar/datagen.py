@@ -3,28 +3,37 @@
 Every sample comes from its own sub-seed derived by hashing (seed, tag,
 index), so a dataset is reproducible record for record no matter whether it
 was generated serially or across processes.  Scenes are built
-constructively: objects are placed one at a time, each candidate cell
-lowered by the compiler and checked against the floor bounds, the already
-placed boxes and the template's relation rules, and the finished program
-must pass the full validator before it is emitted.
+constructively: objects are placed one at a time, each candidate (cell,
+yaw) checked against the floor bounds, the already placed boxes and the
+template's relation rules, and the finished program must pass the full
+validator before it is emitted.
+
+A candidate is lowered by the compiler once per serial dataset (once per
+sample in a process pool): a table keyed by (identifier, yaw, row, col)
+keeps its box, its footprint and whether that footprint stays on the floor,
+so later lookups reuse it.  Against each placed box the search first
+compares ground-plane AABBs and runs the separating-axis test only on pairs
+they do not keep apart.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 from dataclasses import dataclass
 
 from .compiler import CompiledScene, compile_placement, compile_scene
 from .errors import TemplateExhausted
-from .geometry import OrientedBox
+from .geometry import GridSpec, OrientedBox
 from .llmsli import CellSpec, Face, GridBlock, SceneProgram, print_llmsli
 from .relations import RELATIONS
 from .templates import SceneTemplate
 from .validator import (
     Footprint,
     ValidationReport,
+    aabbs_apart,
     floor_rect,
     footprint,
     footprint_intersect,
@@ -135,7 +144,29 @@ def _rule_holds(rule, draft: _Draft, subject_box: OrientedBox) -> bool:
     return RELATIONS[rule.relation](subject_box, obj_box, draft.t.grid.cell_size_m)
 
 
-def _try_layout(t: SceneTemplate, rng: random.Random, vocab: Vocabulary) -> _Draft | None:
+def _lowering(
+    lowered: dict[tuple[str, int, int, int], tuple[OrientedBox, Footprint, bool]],
+    ident: str,
+    yaw: int,
+    at: tuple[int, int],
+    grid: GridSpec,
+    vocab: Vocabulary,
+    rect: tuple[float, float, float, float],
+) -> tuple[OrientedBox, Footprint, bool]:
+    """The table's entry for one candidate, lowered on first use.  A table
+    holds entries for one template grid and vocabulary."""
+    key = (ident, yaw, *at)
+    entry = lowered.get(key)
+    if entry is None:
+        box = compile_placement(CellSpec(ident, yaw), at, grid, vocab)
+        fp = footprint(box)
+        entry = lowered[key] = (box, fp, footprint_on_floor(fp, rect))
+    return entry
+
+
+def _try_layout(
+    t: SceneTemplate, rng: random.Random, vocab: Vocabulary, lowered: dict
+) -> _Draft | None:
     n = rng.randint(*t.count_range)
     chosen = _weighted_draw(t.object_pool, n, rng)
     active = [r for r in t.relation_rules if r.subject in chosen and r.object in chosen]
@@ -154,11 +185,13 @@ def _try_layout(t: SceneTemplate, rng: random.Random, vocab: Vocabulary) -> _Dra
             yaw_order = list(_YAWS)
             rng.shuffle(yaw_order)
             for yaw in yaw_order:
-                box = compile_placement(CellSpec(ident, yaw), (i, j), grid, vocab)
-                fp = footprint(box)
-                if not footprint_on_floor(fp, rect):
+                box, fp, on_floor = _lowering(lowered, ident, yaw, (i, j), grid, vocab, rect)
+                if not on_floor:
                     continue
-                if any(footprint_intersect(fp, other) is not None for other in draft.prints):
+                if any(
+                    not aabbs_apart(fp, other) and footprint_intersect(fp, other) is not None
+                    for other in draft.prints
+                ):
                     continue
                 if not all(_rule_holds(r, draft, box) for r in constraints):
                     continue
@@ -278,16 +311,21 @@ def sample_scene(
     t: SceneTemplate,
     seed: int,
     vocab: Vocabulary | None = None,
+    *,
+    _lowered: dict | None = None,
 ) -> SftSample:
     """One validated sample, deterministic in the seed.
 
     Raises TemplateExhausted when no collision-free arrangement satisfying
-    the template's rules is found within the attempt budget.
+    the template's rules is found within the attempt budget.  ``_lowered``
+    is a lowering table shared by samples of one template and vocabulary;
+    it changes no output.
     """
     vocab = vocab or load_vocabulary()
+    lowered = {} if _lowered is None else _lowered
     rng = random.Random(seed)
     for _ in range(_MAX_ATTEMPTS):
-        draft = _try_layout(t, rng, vocab)
+        draft = _try_layout(t, rng, vocab, lowered)
         if draft is None:
             continue
         surface = _surface_items(t, draft, rng)
@@ -319,10 +357,10 @@ def sample_scene(
 # dataset assembly
 
 
-def _sample_or_none(args) -> SftSample | None:
+def _sample_or_none(args, lowered: dict | None = None) -> SftSample | None:
     t, sub_seed, vocab = args
     try:
-        return sample_scene(t, sub_seed, vocab)
+        return sample_scene(t, sub_seed, vocab, _lowered=lowered)
     except TemplateExhausted:
         return None
 
@@ -338,13 +376,16 @@ def generate_sft_dataset(
 
     Candidate index i always uses sub-seed hash(seed, template name, i), and
     candidates are consumed in index order, so worker count never changes
-    the output.
+    the output.  The pool runs at most ``min(workers, os.cpu_count(),
+    candidates)`` processes; one process runs serially in this one, sharing
+    one lowering table across the samples.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     vocab = vocab or load_vocabulary()
     budget = _OVERSAMPLE * n
     args = [(t, derive_subseed(seed, t.name, i), vocab) for i in range(budget)]
+    workers = min(workers, os.cpu_count() or 1, budget)
     out: list[SftSample] = []
     seen: set[str] = set()
 
@@ -359,8 +400,9 @@ def generate_sft_dataset(
         return False
 
     if workers <= 1:
+        lowered: dict = {}
         for arg in args:
-            if consume([_sample_or_none(arg)]):
+            if consume([_sample_or_none(arg, lowered)]):
                 break
     else:
         from concurrent.futures import ProcessPoolExecutor

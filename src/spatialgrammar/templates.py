@@ -21,6 +21,7 @@ from .errors import SchemaError, UnknownRelation, VocabError
 from .vocab import Vocabulary
 
 PACKAGED_TEMPLATES = ("living_room", "bedroom", "office")
+_MAX_GRID_DIM = 64  # rows and cols of a template grid; bounds the sampler's work
 # the fields the sampler fills into prompt and reasoning text
 _PROMPT_FIELDS = ("room", "object_list")
 _REASONING_FIELDS = _PROMPT_FIELDS + ("rule_text", "placement_text")
@@ -66,6 +67,11 @@ class SceneTemplate:
     reasoning_templates: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if self.grid.rows > _MAX_GRID_DIM or self.grid.cols > _MAX_GRID_DIM:
+            raise SchemaError(
+                f"template grid {self.grid.rows}x{self.grid.cols} exceeds the "
+                f"{_MAX_GRID_DIM}x{_MAX_GRID_DIM} limit"
+            )
         lo, hi = self.count_range
         if not 1 <= lo <= hi:
             raise SchemaError(f"bad count range {self.count_range}")

@@ -147,20 +147,31 @@ def obb_intersect(a: OrientedBox, b: OrientedBox, eps: float = EPS_DEFAULT) -> f
     return footprint_intersect(footprint(a), footprint(b), eps)
 
 
+def aabbs_apart(a: Footprint, b: Footprint) -> bool:
+    """True when the ground-plane AABBs are apart by more than _SLACK on x or
+    y; footprint_intersect() then returns None at every eps >= 0."""
+    # y first: the pairs _candidate_pairs asks about already meet on x
+    return not (
+        a[6] <= b[7] + _SLACK
+        and b[6] <= a[7] + _SLACK
+        and a[4] <= b[5] + _SLACK
+        and b[4] <= a[5] + _SLACK
+    )
+
+
 def _candidate_pairs(prints: list[Footprint]) -> list[tuple[int, int]]:
-    """Sweep and prune: every (i, j), i < j, whose AABBs are not apart by
-    more than _SLACK on x or y, in ascending order."""
+    """Sweep and prune: every (i, j), i < j, whose AABBs are not apart, in
+    ascending order."""
     order = sorted(range(len(prints)), key=lambda k: prints[k][4])
-    active: list[int] = []
+    active: list[tuple[float, int, Footprint]] = []  # (max_x + _SLACK, index, footprint)
     pairs: list[tuple[int, int]] = []
     for j in order:
         b = prints[j]
-        active = [i for i in active if b[4] <= prints[i][5] + _SLACK]
-        for i in active:
-            a = prints[i]
-            if a[6] <= b[7] + _SLACK and b[6] <= a[7] + _SLACK:
+        active = [e for e in active if b[4] <= e[0]]
+        for _, i, a in active:
+            if not aabbs_apart(a, b):
                 pairs.append((i, j) if i < j else (j, i))
-        active.append(j)
+        active.append((b[5] + _SLACK, j, b))
     pairs.sort()
     return pairs
 

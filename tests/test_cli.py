@@ -27,11 +27,12 @@ REPO = Path(__file__).resolve().parents[1]
 
 
 def run_python(*argv: str) -> subprocess.CompletedProcess:
-    """Run python with the package on the path, as a user would from the shell."""
+    """Run python with the package on the path, as a user would from the shell;
+    a run past 120 s fails the test."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=env, cwd=REPO
+        [sys.executable, *argv], capture_output=True, text=True, env=env, cwd=REPO, timeout=120
     )
 
 
@@ -443,6 +444,15 @@ class TestGenData:
         assert_main_usage_error(argv, capsys)
         assert not (tmp_path / "out.jsonl").exists()
 
+    def test_template_grid_beyond_64_rejected(self, tmp_path, capsys):
+        doc = {**OFFICE, "grid": {**OFFICE["grid"], "rows": 1000, "cols": 1000}}
+        template = tmp_path / "big.json"
+        template.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["gen-data", "--template", str(template), "--n", "1", "--seed", "1",
+                "--out", str(tmp_path / "out.jsonl")]
+        assert "1000x1000 exceeds the 64x64 limit" in assert_main_usage_error(argv, capsys)
+        assert not (tmp_path / "out.jsonl").exists()
+
     @pytest.mark.parametrize(
         "line", ["1 crate", "1 crate floor_furniture nan 1 1", "x crate floor_furniture 1 1 1"]
     )
@@ -485,6 +495,7 @@ class TestStudyScripts:
             ["--floor", "nanxnan"],
             ["--samples", "0"],
             ["--floor", "1x1", "--cells", "1"],
+            ["--floor", "1e9x1e9", "--cells", "1", "--samples", "1"],
         ],
     )
     def test_grid_size_study_bad_input(self, extra):

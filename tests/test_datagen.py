@@ -1,11 +1,13 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import os
 
 import pytest
 
 from spatialgrammar import datagen
-from spatialgrammar.compiler import compile_scene
+from spatialgrammar.compiler import compile_placement, compile_scene
 from spatialgrammar.datagen import (
     SCHEMA_VERSION,
     derive_subseed,
@@ -16,7 +18,7 @@ from spatialgrammar.datagen import (
     sample_scene,
 )
 from spatialgrammar.errors import SchemaError, TemplateExhausted
-from spatialgrammar.llmsli import parse_llmsli, print_llmsli
+from spatialgrammar.llmsli import CellSpec, parse_llmsli, print_llmsli
 from spatialgrammar.relations import check_relation
 from spatialgrammar.templates import (
     PACKAGED_TEMPLATES,
@@ -24,7 +26,13 @@ from spatialgrammar.templates import (
     template_from_dict,
     validate_template,
 )
-from spatialgrammar.validator import BoundsDiagnostic, validate
+from spatialgrammar.validator import (
+    BoundsDiagnostic,
+    floor_rect,
+    footprint,
+    footprint_on_floor,
+    validate,
+)
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +171,24 @@ class TestTemplates:
         with pytest.raises(SchemaError):
             template_from_dict({**doc, **patch})
 
+    @pytest.mark.parametrize("rows, cols", [(65, 3), (3, 65), (1000, 1000)])
+    def test_grid_beyond_64_is_schema_error(self, rows, cols):
+        doc = {
+            "name": "hall",
+            "grid": {"cell_size": 1.0, "rows": rows, "cols": cols},
+            "object_pool": [{"key": "sofa"}],
+            "count_range": [1, 1],
+            "prompt_templates": ["x {room} {object_list}"],
+            "reasoning_templates": ["y {placement_text}"],
+        }
+        with pytest.raises(SchemaError, match=f"{rows}x{cols} exceeds the 64x64 limit"):
+            template_from_dict(doc)
+        template_from_dict({**doc, "grid": {"cell_size": 1.0, "rows": 64, "cols": 64}})
+
+    def test_replace_rechecks_the_grid_limit(self, living_room):
+        with pytest.raises(SchemaError, match=f"65x{living_room.grid.cols} "):
+            dataclasses.replace(living_room, grid=dataclasses.replace(living_room.grid, rows=65))
+
     @pytest.mark.parametrize("doc", [None, [1], "living_room"])
     def test_non_object_is_schema_error(self, doc):
         with pytest.raises(SchemaError, match="JSON object"):
@@ -292,6 +318,21 @@ class TestSamplerWork:
         assert len(reports) == 60
         assert all(r.passed for r in reports)
 
+    @pytest.mark.parametrize("name", PACKAGED_TEMPLATES)
+    def test_one_lowering_per_candidate(self, name, vocab, monkeypatch):
+        prints = _counting(monkeypatch, "footprint")
+        keys = []
+        real = datagen.compile_placement
+
+        def keyed(cell, at, *args):
+            keys.append((cell.key, cell.yaw_deg, at))
+            return real(cell, at, *args)
+
+        monkeypatch.setattr(datagen, "compile_placement", keyed)
+        generate_sft_dataset(load_template(name, vocab), 60, 2024, vocab)
+        assert len(keys) == len(set(keys)) > 0
+        assert len(prints) == len(keys)
+
     @staticmethod
     def _template():
         return template_from_dict(
@@ -344,6 +385,95 @@ class TestSamplerWork:
         assert len(compiles) == 2
         assert [p.identifier for p in compiles[1].placements] == ["side_table"]
         assert "vase" not in sample.code
+
+
+class TestLoweringTable:
+    @pytest.mark.parametrize("name", PACKAGED_TEMPLATES)
+    def test_entries_equal_a_fresh_lowering(self, name, vocab):
+        t = load_template(name, vocab)
+        grid, rect = t.grid, floor_rect(t.grid)
+        table = {}
+        for seed in range(5):  # entries the search itself put in the table
+            sample_scene(t, seed, vocab, _lowered=table)
+        filled = len(table)
+        assert filled > 0
+        for ident, _ in t.object_pool:
+            for yaw in datagen._YAWS:
+                for at in [(i, j) for i in range(grid.rows) for j in range(grid.cols)]:
+                    box = compile_placement(CellSpec(ident, yaw), at, grid, vocab)
+                    fp = footprint(box)
+                    fresh = (box, fp, footprint_on_floor(fp, rect))
+                    assert datagen._lowering(table, ident, yaw, at, grid, vocab, rect) == fresh
+        assert len(table) == len(t.object_pool) * 4 * grid.rows * grid.cols > filled
+
+    @pytest.mark.parametrize("name", PACKAGED_TEMPLATES)
+    def test_fresh_table_gives_the_dataset_samples(self, name, vocab):
+        t = load_template(name, vocab)
+        dataset = generate_sft_dataset(t, 60, 2024, vocab)
+        alone = []
+        for i in range(4 * 60):
+            try:
+                sample = sample_scene(t, derive_subseed(2024, t.name, i), vocab)
+            except TemplateExhausted:
+                continue
+            if sample not in alone:
+                alone.append(sample)
+            if len(alone) == 12:
+                break
+        assert alone == dataset[:12]
+
+
+class _RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records its size, runs tasks here."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestWorkerCap:
+    @pytest.mark.parametrize(
+        "workers, cpus, n, size",
+        [
+            (100_000, 3, 60, 3),  # capped by the CPU count
+            (2, 8, 60, 2),  # as asked
+            (100, 8, 1, 4),  # capped by the 4 candidate sub-seeds
+            (100, None, 60, None),  # unknown CPU count: serial, no pool
+            (4, 1, 5, None),  # one CPU: serial, no pool
+        ],
+    )
+    def test_pool_size(self, living_room, vocab, monkeypatch, workers, cpus, n, size):
+        monkeypatch.setattr(_RecordingExecutor, "sizes", [])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        got = generate_sft_dataset(living_room, n, 2024, vocab, workers=workers)
+        assert _RecordingExecutor.sizes == ([] if size is None else [size])
+        assert got == generate_sft_dataset(living_room, n, 2024, vocab)
+
+    def test_real_pool_on_any_host(self, living_room, vocab, monkeypatch):
+        # two reported CPUs keep a two-process pool even on a one-CPU host
+        sizes = []
+        real = concurrent.futures.ProcessPoolExecutor
+
+        def recording(max_workers):
+            sizes.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        parallel = generate_sft_dataset(living_room, 10, 11, vocab, workers=2)
+        assert sizes == [2]
+        assert parallel == generate_sft_dataset(living_room, 10, 11, vocab)
 
 
 class TestDataset:

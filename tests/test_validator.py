@@ -20,12 +20,14 @@ from spatialgrammar.llmsli import CellSpec, GridBlock, SceneProgram, parse_llmsl
 from spatialgrammar.llmslb import parse_llmslb
 from spatialgrammar.validator import (
     ValidatorConfig,
+    aabbs_apart,
     check_bounds,
     check_collisions,
     check_support,
     collision_rate,
     floor_rect,
     footprint,
+    footprint_intersect,
     footprint_on_floor,
     obb_intersect,
     report_text,
@@ -455,6 +457,70 @@ class TestBroadPhaseEquivalence:
         assert any(obb_intersect(p.box, by_id[p.parent].box) is not None for p in children)
         reported = {frozenset((d.a_id, d.b_id)) for d in check_collisions(scene)}
         assert not any(frozenset((p.id, p.parent)) in reported for p in children)
+
+
+@st.composite
+def yaw_only_boxes(draw):
+    """A box anywhere within 50 m of the origin, at a right-angle, whole-degree
+    or any yaw."""
+    coord = st.floats(-50.0, 50.0)
+    length = st.floats(0.01, 10.0)
+    yaw = draw(
+        st.one_of(
+            st.sampled_from([0, 90, 180, 270]).map(math.radians),
+            st.integers(0, 359).map(math.radians),
+            st.floats(0.0, 2 * math.pi),
+        )
+    )
+    return OrientedBox(
+        Vec3(draw(coord), draw(coord), draw(st.floats(0.0, 3.0))),
+        Vec3(draw(length), draw(length), draw(length)),
+        yaw,
+    )
+
+
+class TestAabbReject:
+    """aabbs_apart() may only drop pairs the separating-axis test clears."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        a=yaw_only_boxes(),
+        b=yaw_only_boxes(),
+        side=st.sampled_from(["free", "+x", "-x", "+y", "-y"]),
+        gap=st.floats(-1e-3, 1e-6),
+        eps=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+    )
+    def test_apart_implies_no_intersection(self, a, b, side, gap, eps):
+        fa = footprint(a)
+        if side != "free":
+            # slide b so its AABB ends gap past a's on that side: just apart
+            # or just overlapping
+            fb = footprint(b)
+            dx = dy = 0.0
+            if side == "+x":
+                dx = fa[5] + gap - fb[4]
+            elif side == "-x":
+                dx = fa[4] - gap - fb[5]
+            elif side == "+y":
+                dy = fa[7] + gap - fb[6]
+            else:
+                dy = fa[6] - gap - fb[7]
+            b = OrientedBox(b.center + Vec3(dx, dy, 0.0), b.size, b.yaw)
+        fb = footprint(b)
+        if aabbs_apart(fa, fb):
+            assert footprint_intersect(fa, fb, eps) is None
+            assert footprint_intersect(fb, fa, eps) is None
+
+    def test_slack(self):
+        a = footprint(OrientedBox(Vec3(0, 0, 0.5), Vec3(1, 1, 1), 0.0))
+        touching = footprint(OrientedBox(Vec3(1.0, 0, 0.5), Vec3(1, 1, 1), 0.0))
+        beyond = footprint(OrientedBox(Vec3(1.0 + 1e-6, 0, 0.5), Vec3(1, 1, 1), 0.0))
+        diagonal = footprint(OrientedBox(Vec3(1.2, 1.2, 0.5), Vec3(1, 1, 1), math.pi / 4))
+        assert not aabbs_apart(a, touching)
+        assert aabbs_apart(a, beyond) and aabbs_apart(beyond, a)
+        # AABBs that meet do not prove the boxes do
+        assert not aabbs_apart(a, diagonal)
+        assert footprint_intersect(a, diagonal) is None
 
 
 class TestCollisionRate:
