@@ -40,17 +40,9 @@ def main() -> int:
     ap.add_argument("--sft-n", type=int, default=2_800)
     ap.add_argument("--dpo-n", type=int, default=9_000)
     ap.add_argument("--seed", type=int, default=20_24)
-    ap.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="sampling processes, capped at the CPU count (default 0: serial)",
-    )
     ap.add_argument("--vocab", default=None, help="path to an object vocabulary TSV")
     args = ap.parse_args()
-    for flag, value, least in (
-        ("--sft-n", args.sft_n, 1), ("--dpo-n", args.dpo_n, 1), ("--workers", args.workers, 0)
-    ):
+    for flag, value, least in (("--sft-n", args.sft_n, 1), ("--dpo-n", args.dpo_n, 1)):
         if value < least:
             print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
             return 2
@@ -60,9 +52,7 @@ def main() -> int:
     args.out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.monotonic()
-    samples = generate_sft_dataset(
-        template, args.sft_n, args.seed, vocab, workers=args.workers
-    )
+    samples = generate_sft_dataset(template, args.sft_n, args.seed, vocab)
     print(f"sampled {len(samples)} scenes in {time.monotonic() - t0:.1f}s", file=sys.stderr)
 
     pairs = generate_dpo_pairs(samples, args.seed, vocab, template, args.dpo_n)

@@ -67,8 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="sampling processes, capped at the CPU count (default 0: serial); "
-        "the output does not depend on it",
+        help="ignored: sampling runs in this process (must be at least 0)",
     )
     p.add_argument(
         "--base-n",
@@ -167,14 +166,10 @@ def _cmd_gen_data(args) -> int:
         from .errorchain import generate_dpo_pairs
 
         base_n = args.n if args.base_n is None else args.base_n
-        samples = generate_sft_dataset(
-            template, base_n, args.seed, vocab, workers=args.workers
-        )
+        samples = generate_sft_dataset(template, base_n, args.seed, vocab)
         records = dpo_records(generate_dpo_pairs(samples, args.seed, vocab, template, args.n))
     else:
-        samples = generate_sft_dataset(
-            template, args.n, args.seed, vocab, workers=args.workers
-        )
+        samples = generate_sft_dataset(template, args.n, args.seed, vocab)
         if args.stage == "pretrain":
             records = extract_pretrain_corpus(samples)
         else:

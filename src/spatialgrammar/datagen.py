@@ -1,26 +1,23 @@
 """Seeded synthetic data: constructive scene sampling and corpus assembly.
 
 Every sample comes from its own sub-seed derived by hashing (seed, tag,
-index), so a dataset is reproducible record for record no matter whether it
-was generated serially or across processes.  Scenes are built
+index), so a dataset is reproducible record for record.  Scenes are built
 constructively: objects are placed one at a time, each candidate (cell,
 yaw) checked against the floor bounds, the already placed boxes and the
 template's relation rules, and the finished program must pass the full
 validator before it is emitted.
 
-A candidate is lowered by the compiler once per serial dataset (once per
-sample in a process pool): a table keyed by (identifier, yaw, row, col)
-keeps its box, its footprint and whether that footprint stays on the floor,
-so later lookups reuse it.  Against each placed box the search first
-compares ground-plane AABBs and runs the separating-axis test only on pairs
-they do not keep apart.
+A candidate is lowered by the compiler once per dataset: a table keyed by
+(identifier, yaw, row, col) keeps its box, its footprint and whether that
+footprint stays on the floor, so later lookups reuse it.  Against each
+placed box the search first compares ground-plane AABBs and runs the
+separating-axis test only on pairs they do not keep apart.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
 from dataclasses import dataclass
 
@@ -357,67 +354,39 @@ def sample_scene(
 # dataset assembly
 
 
-def _sample_or_none(args, lowered: dict | None = None) -> SftSample | None:
-    t, sub_seed, vocab = args
-    try:
-        return sample_scene(t, sub_seed, vocab, _lowered=lowered)
-    except TemplateExhausted:
-        return None
-
-
 def generate_sft_dataset(
     t: SceneTemplate,
     n: int,
     seed: int,
     vocab: Vocabulary | None = None,
-    workers: int = 0,
 ) -> list[SftSample]:
     """Exactly n deduplicated validated samples.
 
-    Candidate index i always uses sub-seed hash(seed, template name, i), and
-    candidates are consumed in index order, so worker count never changes
-    the output.  The pool runs at most ``min(workers, os.cpu_count(),
-    candidates)`` processes; one process runs serially in this one, sharing
-    one lowering table across the samples.
+    Candidate index i always uses sub-seed hash(seed, template name, i),
+    derived when the candidate is tried; candidates are tried in index order
+    and share one lowering table.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     vocab = vocab or load_vocabulary()
     budget = _OVERSAMPLE * n
-    args = [(t, derive_subseed(seed, t.name, i), vocab) for i in range(budget)]
-    workers = min(workers, os.cpu_count() or 1, budget)
+    lowered: dict = {}
     out: list[SftSample] = []
     seen: set[str] = set()
-
-    def consume(results) -> bool:
-        for sample in results:
-            if sample is None or sample.code in seen:
-                continue
-            seen.add(sample.code)
-            out.append(sample)
-            if len(out) == n:
-                return True
-        return False
-
-    if workers <= 1:
-        lowered: dict = {}
-        for arg in args:
-            if consume([_sample_or_none(arg, lowered)]):
-                break
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        block = max(workers * 8, 32)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for start in range(0, budget, block):
-                results = list(pool.map(_sample_or_none, args[start : start + block]))
-                if consume(results):
-                    break
-    if len(out) < n:
-        raise TemplateExhausted(
-            f"only {len(out)} of {n} samples possible within a {budget}-candidate budget"
-        )
-    return out
+    for i in range(budget):
+        try:
+            sample = sample_scene(t, derive_subseed(seed, t.name, i), vocab, _lowered=lowered)
+        except TemplateExhausted:
+            continue
+        if sample.code in seen:
+            continue
+        seen.add(sample.code)
+        out.append(sample)
+        if len(out) == n:
+            return out
+    raise TemplateExhausted(
+        f"only {len(out)} of {n} samples possible within a {budget}-candidate budget"
+    )
 
 
 def extract_pretrain_corpus(samples: list[SftSample]) -> list[dict]:

@@ -299,11 +299,10 @@ def test_criterion_05_determinism():
             assert first == second
         tpl = load_template("living_room", VOCAB)
         runs = [
-            jsonl_bytes(extract_sft_pairs(generate_sft_dataset(tpl, 40, 11, VOCAB, workers=w)))
-            for w in (0, 0, 2)
+            jsonl_bytes(extract_sft_pairs(generate_sft_dataset(tpl, 40, 11, VOCAB)))
+            for _ in range(2)
         ]
         assert runs[0] == runs[1]
-        assert runs[0] == runs[2]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -466,13 +467,37 @@ class TestGenData:
 
 class TestGenerateCorpusScript:
     @pytest.mark.parametrize(
-        "extra", [["--sft-n", "0"], ["--dpo-n", "0"], ["--sft-n", "-2"], ["--workers", "-4"]]
+        "extra", [["--sft-n", "0"], ["--dpo-n", "0"], ["--sft-n", "-2"]]
     )
     def test_bad_counts_rejected(self, extra, tmp_path):
         out = tmp_path / "corpus"
         proc = run_python("scripts/generate_corpus.py", "--out", str(out), *extra)
         assert_usage_error(proc)
         assert not out.exists()
+
+    def test_writes_the_gen_data_bytes(self, tmp_path, capsysbinary):
+        out = tmp_path / "corpus"
+        proc = run_python(
+            "scripts/generate_corpus.py", "--out", str(out), "--template", "bedroom",
+            "--sft-n", "12", "--dpo-n", "20", "--seed", "7",
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        for name, extra in (
+            ("sft.jsonl", ["--stage", "sft", "--n", "12"]),
+            ("pretrain.jsonl", ["--stage", "pretrain", "--n", "12"]),
+            ("dpo.jsonl", ["--stage", "dpo", "--n", "20", "--base-n", "12"]),
+        ):
+            ref = tmp_path / name
+            argv = ["gen-data", "--template", "bedroom", "--seed", "7", "--out", str(ref)]
+            assert main(argv + extra) == EXIT_OK
+            capsysbinary.readouterr()
+            assert (out / name).read_bytes() == ref.read_bytes(), name
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert sorted(manifest["files"]) == ["dpo.jsonl", "pretrain.jsonl", "sft.jsonl"]
+        for name, entry in manifest["files"].items():
+            blob = (out / name).read_bytes()
+            assert entry["records"] == blob.count(b"\n")
+            assert entry["sha256"] == hashlib.sha256(blob).hexdigest()
 
     def test_malformed_template_rejected(self, tmp_path):
         template = tmp_path / "t.json"

@@ -1,8 +1,6 @@
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
-import os
 
 import pytest
 
@@ -423,59 +421,6 @@ class TestLoweringTable:
         assert alone == dataset[:12]
 
 
-class _RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: records its size, runs tasks here."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-class TestWorkerCap:
-    @pytest.mark.parametrize(
-        "workers, cpus, n, size",
-        [
-            (100_000, 3, 60, 3),  # capped by the CPU count
-            (2, 8, 60, 2),  # as asked
-            (100, 8, 1, 4),  # capped by the 4 candidate sub-seeds
-            (100, None, 60, None),  # unknown CPU count: serial, no pool
-            (4, 1, 5, None),  # one CPU: serial, no pool
-        ],
-    )
-    def test_pool_size(self, living_room, vocab, monkeypatch, workers, cpus, n, size):
-        monkeypatch.setattr(_RecordingExecutor, "sizes", [])
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        got = generate_sft_dataset(living_room, n, 2024, vocab, workers=workers)
-        assert _RecordingExecutor.sizes == ([] if size is None else [size])
-        assert got == generate_sft_dataset(living_room, n, 2024, vocab)
-
-    def test_real_pool_on_any_host(self, living_room, vocab, monkeypatch):
-        # two reported CPUs keep a two-process pool even on a one-CPU host
-        sizes = []
-        real = concurrent.futures.ProcessPoolExecutor
-
-        def recording(max_workers):
-            sizes.append(max_workers)
-            return real(max_workers=max_workers)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        parallel = generate_sft_dataset(living_room, 10, 11, vocab, workers=2)
-        assert sizes == [2]
-        assert parallel == generate_sft_dataset(living_room, 10, 11, vocab)
-
-
 class TestDataset:
     def test_exact_count_unique(self, living_room, vocab):
         samples = generate_sft_dataset(living_room, 12, seed=5, vocab=vocab)
@@ -487,11 +432,6 @@ class TestDataset:
         b = generate_sft_dataset(living_room, 8, seed=9, vocab=vocab)
         assert jsonl_bytes(extract_sft_pairs(a)) == jsonl_bytes(extract_sft_pairs(b))
 
-    def test_workers_do_not_change_output(self, living_room, vocab):
-        serial = generate_sft_dataset(living_room, 10, seed=11, vocab=vocab, workers=0)
-        parallel = generate_sft_dataset(living_room, 10, seed=11, vocab=vocab, workers=2)
-        assert serial == parallel
-
     def test_seed_changes_output(self, living_room, vocab):
         a = generate_sft_dataset(living_room, 5, seed=1, vocab=vocab)
         b = generate_sft_dataset(living_room, 5, seed=2, vocab=vocab)
@@ -500,6 +440,24 @@ class TestDataset:
     def test_n_must_be_positive(self, living_room, vocab):
         with pytest.raises(ValueError):
             generate_sft_dataset(living_room, 0, seed=1, vocab=vocab)
+
+    def test_subseeds_derived_only_for_candidates_tried(self, living_room, vocab, monkeypatch):
+        derived, tried = [], []
+        real_derive, real_sample = datagen.derive_subseed, datagen.sample_scene
+
+        def derive(seed, tag, index):
+            derived.append(index)
+            return real_derive(seed, tag, index)
+
+        def sample(t, seed, *args, **kwargs):
+            tried.append(seed)
+            return real_sample(t, seed, *args, **kwargs)
+
+        monkeypatch.setattr(datagen, "derive_subseed", derive)
+        monkeypatch.setattr(datagen, "sample_scene", sample)
+        assert len(generate_sft_dataset(living_room, 5, 2024, vocab)) == 5
+        assert derived == list(range(len(tried)))
+        assert 5 <= len(tried) < 4 * 5
 
 
 class TestExtraction:
