@@ -7,8 +7,9 @@ Writes three JSONL files plus a manifest into --out:
     sft.jsonl        prompt -> code pairs
     dpo.jsonl        prompt, chosen, rejected (verified-invalid) triples
 
-Every record derives from the same seeded sample set, so reruns with the
-same arguments are byte-identical.
+All three come from one `spatialgrammar.datagen.build_corpus` call, the
+same pipeline `sgc gen-data` runs: every record derives from one seeded
+sample set, so reruns with the same arguments are byte-identical.
 """
 
 from __future__ import annotations
@@ -21,14 +22,7 @@ import time
 from pathlib import Path
 
 from spatialgrammar.cli import run_reporting_errors
-from spatialgrammar.datagen import (
-    dpo_records,
-    extract_pretrain_corpus,
-    extract_sft_pairs,
-    generate_sft_dataset,
-    jsonl_bytes,
-)
-from spatialgrammar.errorchain import generate_dpo_pairs
+from spatialgrammar.datagen import build_corpus, jsonl_bytes
 from spatialgrammar.templates import load_template
 from spatialgrammar.vocab import load_vocabulary
 
@@ -52,18 +46,10 @@ def main() -> int:
     args.out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.monotonic()
-    samples = generate_sft_dataset(template, args.sft_n, args.seed, vocab)
-    print(f"sampled {len(samples)} scenes in {time.monotonic() - t0:.1f}s", file=sys.stderr)
-
-    pairs = generate_dpo_pairs(samples, args.seed, vocab, template, args.dpo_n)
-
     manifest = {"template": args.template, "seed": args.seed, "files": {}}
-    stages = {
-        "pretrain.jsonl": extract_pretrain_corpus(samples),
-        "sft.jsonl": extract_sft_pairs(samples),
-        "dpo.jsonl": dpo_records(pairs),
-    }
-    for name, records in stages.items():
+    corpus = build_corpus(template, args.seed, vocab, args.sft_n, args.dpo_n)
+    for stage, records in corpus.items():
+        name = f"{stage}.jsonl"
         blob = jsonl_bytes(records)
         (args.out / name).write_bytes(blob)
         manifest["files"][name] = {

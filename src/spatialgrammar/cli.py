@@ -143,13 +143,7 @@ def _cmd_check_building(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
-    from .datagen import (
-        dpo_records,
-        extract_pretrain_corpus,
-        extract_sft_pairs,
-        generate_sft_dataset,
-        jsonl_bytes,
-    )
+    from .datagen import build_corpus, jsonl_bytes
 
     for flag, value, least in (("--n", args.n, 1), ("--base-n", args.base_n, 1),
                                ("--workers", args.workers, 0)):
@@ -162,18 +156,9 @@ def _cmd_gen_data(args) -> int:
     vocab = load_vocabulary(args.vocab)
     template = load_template(args.template, vocab)
     out_path = args.out or f"{args.stage}.jsonl"
-    if args.stage == "dpo":
-        from .errorchain import generate_dpo_pairs
-
-        base_n = args.n if args.base_n is None else args.base_n
-        samples = generate_sft_dataset(template, base_n, args.seed, vocab)
-        records = dpo_records(generate_dpo_pairs(samples, args.seed, vocab, template, args.n))
-    else:
-        samples = generate_sft_dataset(template, args.n, args.seed, vocab)
-        if args.stage == "pretrain":
-            records = extract_pretrain_corpus(samples)
-        else:
-            records = extract_sft_pairs(samples)
+    base_n = args.n if args.base_n is None else args.base_n  # --base-n is dpo-only
+    n_pairs = args.n if args.stage == "dpo" else None
+    records = build_corpus(template, args.seed, vocab, base_n, n_pairs)[args.stage]
     with open(out_path, "wb") as fh:
         fh.write(jsonl_bytes(records))
     print(f"wrote {len(records)} records to {out_path}", file=sys.stderr)

@@ -389,6 +389,27 @@ def generate_sft_dataset(
     )
 
 
+def build_corpus(
+    t: SceneTemplate,
+    seed: int,
+    vocab: Vocabulary,
+    n_samples: int,
+    n_pairs: int | None = None,
+) -> dict[str, list[dict]]:
+    """The records of every stage, keyed by stage name, from one sample set.
+
+    `pretrain` and `sft` come from `generate_sft_dataset(t, n_samples, seed)`;
+    `dpo` is built from the same samples, and only when n_pairs is given.
+    """
+    samples = generate_sft_dataset(t, n_samples, seed, vocab)
+    corpus = {"pretrain": extract_pretrain_corpus(samples), "sft": extract_sft_pairs(samples)}
+    if n_pairs is not None:
+        from .errorchain import generate_dpo_pairs  # errorchain imports this module
+
+        corpus["dpo"] = dpo_records(generate_dpo_pairs(samples, seed, vocab, t, n_pairs))
+    return corpus
+
+
 def extract_pretrain_corpus(samples: list[SftSample]) -> list[dict]:
     """Three language-model text records per sample: prompt, reasoning, code."""
     out = []
