@@ -13,7 +13,7 @@ from typing import Callable
 
 from . import __version__
 from .compiler import CompilerConfig, compile_building, compile_source, parse_source
-from .drfr import evaluate_cumulative, evaluate_drfr, load_checklists
+from .drfr import evaluate_cumulative, load_checklists
 from .errors import (
     OrphanOpeningError,
     ParseError,
@@ -177,10 +177,7 @@ def _cmd_eval(args) -> int:
     vocab = load_vocabulary(args.vocab)
     scenes = [_load_scene_arg(p, vocab) for p in args.scene]
     checklists = load_checklists(args.checklist)
-    if len(checklists) == 1 and len(scenes) == 1:
-        results = [evaluate_drfr(scenes[0], checklists[0])]
-    else:
-        results = evaluate_cumulative(scenes, checklists)
+    results = evaluate_cumulative(scenes, checklists)
     doc = {
         "turns": [r.to_dict() for r in results],
         "final_ratio": results[-1].ratio,

@@ -12,6 +12,12 @@ A candidate is lowered by the compiler once per dataset: a table keyed by
 footprint stays on the floor, so later lookups reuse it.  Against each
 placed box the search first compares ground-plane AABBs and runs the
 separating-axis test only on pairs they do not keep apart.
+
+`build_corpus` is the one corpus pipeline: `sgc gen-data` and
+`scripts/generate_corpus.py` both call it.  It samples one dataset and
+returns its `pretrain` and `sft` records and, when asked for pairs, the
+`dpo` records that `errorchain.generate_dpo_pairs` builds from the same
+samples.
 """
 
 from __future__ import annotations

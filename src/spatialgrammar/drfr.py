@@ -9,6 +9,7 @@ edit shows up as a falling ratio.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -83,11 +84,9 @@ class AtomicCheck:
         for key in ("min_size", "max_size"):
             size = params.get(key)
             if size is not None and not (
-                isinstance(size, list)
-                and len(size) == 3
-                and all(isinstance(v, (int, float)) for v in size)
+                isinstance(size, list) and len(size) == 3 and all(map(_finite_number, size))
             ):
-                raise SchemaError(f"check param {key!r} must be a list of three numbers")
+                raise SchemaError(f"check param {key!r} must be a list of three finite numbers")
         return cls(
             kind=kind,
             subject=doc["subject"],
@@ -96,6 +95,15 @@ class AtomicCheck:
             params=tuple(sorted(params.items())),
             label=doc.get("label"),
         )
+
+
+def _finite_number(v: object) -> bool:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 @dataclass(frozen=True)
@@ -174,11 +182,14 @@ def evaluate_cumulative(
         )
     active: list[AtomicCheck] = []
     out: list[DrfrResult] = []
-    for scene, cl in zip(scenes, checklists):
+    for k, (scene, cl) in enumerate(zip(scenes, checklists), start=1):
         if cl.removes:
             dropped = set(cl.removes)
             active = [c for c in active if c.label not in dropped]
         active.extend(cl.checks)
+        if not active:
+            turn = f"turn {k}" if cl.turn_id is None else f"turn {k} (turn_id {cl.turn_id!r})"
+            raise SchemaError(f"{turn} leaves no check to score")
         out.append(evaluate_drfr(scene, Checklist(checks=tuple(active), turn_id=cl.turn_id)))
     return out
 

@@ -126,9 +126,22 @@ def _scene_from_doc(doc: dict, vocab: Vocabulary | None) -> CompiledScene:
         rows=int(doc["grid"]["rows"]),
         cols=int(doc["grid"]["cols"]),
     )
-    placements = [_row_to_placement(row, vocab, structural=False) for row in doc["placements"]]
-    structural = [_row_to_placement(row, vocab, structural=True) for row in doc["structural"]]
-    by_id = {p.id: p for p in placements + structural}
+    placements = [
+        _row_to_placement(row, vocab, structural=False) for row in _list(doc, "placements")
+    ]
+    structural = [
+        _row_to_placement(row, vocab, structural=True) for row in _list(doc, "structural")
+    ]
+    entries = placements + structural
+    by_id: dict[str, Placement] = {}
+    for p in entries:
+        if p.id in by_id:
+            raise SchemaError(f"scene JSON has two entries with id {p.id!r}")
+        by_id[p.id] = p
+    for p in entries:
+        if p.parent is not None and (p.parent == p.id or p.parent not in by_id):
+            raise SchemaError(f"scene JSON entry {p.id!r} has parent {p.parent!r}, "
+                              "which is not the id of another entry")
     placements = [_infer_face(p, by_id) for p in placements]
     openings = tuple(
         Opening(
@@ -141,7 +154,7 @@ def _scene_from_doc(doc: dict, vocab: Vocabulary | None) -> CompiledScene:
             sill_m=float(row["sill"]),
             cell=(int(row["cell"][0]), int(row["cell"][1])),
         )
-        for row in doc["openings"]
+        for row in _list(doc, "openings")
     )
     return CompiledScene(
         grid=grid,
@@ -151,7 +164,20 @@ def _scene_from_doc(doc: dict, vocab: Vocabulary | None) -> CompiledScene:
     )
 
 
+def _list(doc: dict, key: str) -> list:
+    value = doc[key]
+    if not isinstance(value, list):
+        raise SchemaError(f"scene JSON {key!r} must be a list, not {type(value).__name__}")
+    return value
+
+
 def _row_to_placement(row: dict, vocab: Vocabulary | None, structural: bool) -> Placement:
+    for key in ("id", "identifier"):
+        if not isinstance(row[key], str):
+            raise SchemaError(f"scene JSON {key!r} must be a string, got {row[key]!r}")
+    depth = row["depth"]
+    if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
+        raise SchemaError(f"scene JSON 'depth' must be an integer of at least 0, got {depth!r}")
     identifier = row["identifier"]
     category = Category.STRUCTURAL
     if not structural:
@@ -171,13 +197,13 @@ def _row_to_placement(row: dict, vocab: Vocabulary | None, structural: bool) -> 
             yaw=float(row["yaw_rad"]),
         ),
         parent=row["parent"],
-        depth=int(row["depth"]),
-        source=Provenance("import", int(row["cell"][0]), int(row["cell"][1]), int(row["depth"])),
+        depth=depth,
+        source=Provenance("import", int(row["cell"][0]), int(row["cell"][1]), depth),
     )
 
 
 def _infer_face(p: Placement, by_id: dict[str, Placement]) -> Placement:
-    if p.parent is None or p.parent not in by_id:
+    if p.parent is None:
         return p
     parent = by_id[p.parent]
     face = None

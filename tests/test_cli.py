@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from spatialgrammar.cli import EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
+from test_datagen import GOLDEN_SFT_SHA256
+from test_errorchain import GOLDEN_DPO_SHA256
 
 CLEAN = "llmsli grid=1m dims=3x3\nmain:\n0 0 0\n0 sofa 0\n0 0 0\n"
 COLLIDING = (
@@ -401,6 +403,20 @@ class TestGenData:
         assert len(lines) == 45
         assert len(set(lines)) == 45
 
+    @pytest.mark.parametrize("template", sorted(GOLDEN_DPO_SHA256))
+    def test_bytes_match_the_goldens(self, template, tmp_path, capsysbinary):
+        digests = {}
+        for stage, counts in (("sft", ["--n", "60"]), ("pretrain", ["--n", "60"]),
+                              ("dpo", ["--n", "45", "--base-n", "14"])):
+            out = tmp_path / f"{stage}.jsonl"
+            argv = ["gen-data", "--template", template, "--seed", "2024", "--stage", stage,
+                    "--out", str(out), *counts]
+            assert main(argv) == EXIT_OK
+            digests[stage] = hashlib.sha256(out.read_bytes()).hexdigest()
+        capsysbinary.readouterr()
+        assert (digests["sft"], digests["pretrain"]) == GOLDEN_SFT_SHA256[template]
+        assert digests["dpo"] == GOLDEN_DPO_SHA256[template]
+
     @pytest.mark.parametrize(
         "extra",
         [
@@ -532,6 +548,29 @@ class TestStudyScripts:
         assert_usage_error(run_python("scripts/render_examples.py", "--out", str(out)))
 
 
+# a desk carrying a desk_lamp: placements desk_0, then desk_lamp_0 with parent desk_0
+DESK = (
+    "llmsli grid=1m dims=3x3\nmain:\n0 0 0\n0 desk(T_on_top) 0\n0 0 0\n"
+    "sublayout T:\ndesk_lamp\n"
+)
+LAMP_ON_DESK = {"checks": [
+    {"kind": "hierarchy_support", "subject": "desk_lamp_0", "object": "desk_0"},
+    {"kind": "spatial_relation", "relation": "on_top", "subject": "desk_lamp_0",
+     "object": "desk_0"},
+]}
+
+
+def edit_lamp(**fields):
+    """An edit of the compiled DESK scene JSON that sets fields of the lamp row."""
+    return lambda doc: doc["placements"][1].update(fields)
+
+
+def size_check(min_size: str) -> str:
+    """Checklist JSON text with a min_size written verbatim."""
+    return ('{"checks": [{"kind": "attribute_size", "subject": "sofa", '
+            '"params": {"min_size": %s}}]}' % min_size)
+
+
 class TestEval:
     def test_single_turn(self, room, tmp_path, capsysbinary):
         checklist = tmp_path / "cl.json"
@@ -632,18 +671,50 @@ class TestEval:
             (None, [1, 2]),
             (None, {"checks": [{"kind": "attribute_size", "subject": "sofa",
                                 "params": {"min_size": 3}}]}),
+            (edit_lamp(identifier=5), LAMP_ON_DESK),
+            (edit_lamp(id=7), LAMP_ON_DESK),
+            (edit_lamp(id="desk_0", parent=None), LAMP_ON_DESK),
+            (lambda doc: doc["structural"].append(dict(doc["placements"][0])), LAMP_ON_DESK),
+            (edit_lamp(parent="ghost_0"), LAMP_ON_DESK),
+            (edit_lamp(parent="desk_lamp_0"), LAMP_ON_DESK),
+            (edit_lamp(parent=0), LAMP_ON_DESK),
+            (edit_lamp(depth=-1), LAMP_ON_DESK),
+            (edit_lamp(depth=True), LAMP_ON_DESK),
+            (edit_lamp(depth=1.0), LAMP_ON_DESK),
+            (lambda doc: doc.update(placements={}), LAMP_ON_DESK),
+            (lambda doc: doc.update(structural={}), LAMP_ON_DESK),
+            (lambda doc: doc.update(openings={}), LAMP_ON_DESK),
+            (None, {"turns": [{"turn_id": 1, "checks": [], "removes": ["x"]}]}),
+            (None, size_check("[1e400, 1, 1]")),
+            (None, size_check("[1, 2, true]")),
+            (None, size_check("[1, 2, NaN]")),
+            (None, size_check("[1, 2, " + "9" * 400 + "]")),
         ],
         ids=["scene-missing-key", "unknown-kind", "no-subject", "scene-as-checklist", "list",
-             "size-not-a-list"],
+             "size-not-a-list", "identifier-not-a-string", "id-not-a-string", "duplicate-id",
+             "duplicate-id-in-structural", "parent-names-no-entry", "parent-is-itself",
+             "parent-not-a-string", "negative-depth", "bool-depth", "float-depth",
+             "placements-object", "structural-object", "openings-object",
+             "turn-with-nothing-to-score", "size-overflows-to-inf", "size-bool", "size-nan",
+             "size-int-beyond-float"],
     )
     def test_bad_input_shape(self, room, tmp_path, scene_doc, checklist_doc):
         scene = room
+        if callable(scene_doc):
+            desk = tmp_path / "desk.sg"
+            desk.write_text(DESK, encoding="utf-8")
+            assert main(["compile", str(desk), "-o", str(tmp_path / "desk.json")]) == EXIT_OK
+            doc = json.loads((tmp_path / "desk.json").read_text(encoding="utf-8"))
+            scene_doc(doc)
+            scene_doc = doc
         if scene_doc is not None:
             scene = str(tmp_path / "scene.json")
             Path(scene).write_text(json.dumps(scene_doc), encoding="utf-8")
         checklist = tmp_path / "cl.json"
         if checklist_doc == "scene":
             assert main(["compile", room, "-o", str(checklist)]) == EXIT_OK
+        elif isinstance(checklist_doc, str):  # JSON text that json.dumps cannot write
+            checklist.write_text(checklist_doc, encoding="utf-8")
         else:
             checklist.write_text(json.dumps(checklist_doc), encoding="utf-8")
         proc = run_python(

@@ -12,7 +12,7 @@ from spatialgrammar.drfr import (
     evaluate_drfr,
     load_checklists,
 )
-from spatialgrammar.errors import LengthMismatch, UnknownRelation
+from spatialgrammar.errors import LengthMismatch, SchemaError, UnknownRelation
 from spatialgrammar.llmsli import parse_llmsli
 
 
@@ -220,6 +220,17 @@ class TestCumulative:
         ]
         out = evaluate_cumulative([turn1, turn2], lists)
         assert [r.ratio for r in out] == [1.0, 1.0]
+
+    def test_turn_with_nothing_to_score_is_named(self, vocab):
+        scene = compile_scene(parse_llmsli("llmsli grid=1m dims=1x1\nmain:\nsofa\n"), vocab)
+        lists = [
+            Checklist(checks=(exist("sofa", label="sofa"),), turn_id=1),
+            Checklist(checks=(), turn_id=2, removes=("sofa",)),
+        ]
+        with pytest.raises(SchemaError, match=r"^turn 2 \(turn_id 2\) leaves no check to score$"):
+            evaluate_cumulative([scene, scene], lists)
+        with pytest.raises(SchemaError, match=r"^turn 1 leaves no check to score$"):
+            evaluate_cumulative([scene], [Checklist(checks=(), removes=("x",))])
 
     def test_length_mismatch(self, vocab):
         scene = compile_scene(
