@@ -36,10 +36,10 @@ from .geometry import GridSpec
 MAX_NESTING_DEPTH = 8
 
 _RESERVED = ("main", "sublayout")
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CHARS = _IDENT_START | set("0123456789")
 # str.isdigit would wave through superscripts that int() then rejects
-_DIGITS = set("0123456789")
+_DIGITS = "0123456789"
+_NUMBER_CHARS = _DIGITS + "."
+_IDENT_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_" + _DIGITS
 _SIZE_SEPS = ("x", "×")  # ASCII x or the multiplication sign
 
 
@@ -154,15 +154,11 @@ def significant_lines(text: str) -> list[tuple[int, str]]:
 def tokens_with_cols(raw: str) -> list[tuple[str, int]]:
     """Whitespace-split with 1-based start columns."""
     toks = []
-    i, n = 0, len(raw)
-    while i < n:
-        if raw[i].isspace():
-            i += 1
-            continue
-        start = i
-        while i < n and not raw[i].isspace():
-            i += 1
-        toks.append((raw[start:i], start + 1))
+    pos = 0
+    for tok in raw.split():
+        pos = raw.index(tok, pos)
+        toks.append((tok, pos + 1))
+        pos += len(tok)
     return toks
 
 
@@ -244,14 +240,19 @@ def _parse_section_header(body: str, lineno: int) -> Section:
 
 
 def _is_identifier(s: str) -> bool:
-    return bool(s) and s[0] in _IDENT_START and all(c in _IDENT_CHARS for c in s)
+    return s.isascii() and s.isidentifier()
+
+
+def _run_end(tok: str, pos: int, chars: str) -> int:
+    """Index just past the run of ``chars`` that starts at ``pos``."""
+    return len(tok) - len(tok[pos:].lstrip(chars))
 
 
 def _parse_dims(s: str, lineno: int, col: int) -> tuple[int, int]:
     for sep in _SIZE_SEPS:
         if sep in s:
             a, _, b = s.partition(sep)
-            if a and b and set(a) <= _DIGITS and set(b) <= _DIGITS:
+            if (a + b).isascii() and a.isdigit() and b.isdigit():
                 if int(a) >= 1 and int(b) >= 1:
                     return (int(a), int(b))
             break
@@ -285,7 +286,7 @@ def parse_grid_value(s: str, lineno: int, col: int, what: str) -> float:
 
 
 def _parse_float(s: str, lineno: int, col: int, what: str = "number") -> float:
-    if not s or not all(c in "0123456789." for c in s) or s.count(".") > 1 or s == ".":
+    if not s or s.lstrip(_NUMBER_CHARS) or s.count(".") > 1 or s == ".":
         raise ParseError(f"malformed {what} {s!r}", line=lineno, col=col)
     value = float(s)
     if not math.isfinite(value):
@@ -319,77 +320,65 @@ def parse_cell_token(
     """Parse one cell token.  ``faces`` maps face names to enum values; references
     are appended to ``refs_out`` as (name, face, line, col) for later resolution."""
     pos = 0
-    n = len(tok)
 
     def err(msg: str, expected: tuple[str, ...] = ()) -> ParseError:
         return ParseError(msg, line=lineno, col=col + pos, expected=expected)
 
     key: int | str
     if tok[0] in _DIGITS:
-        start = pos
-        while pos < n and tok[pos] in _DIGITS:
-            pos += 1
-        key = int(tok[start:pos])
+        pos = _run_end(tok, 0, _DIGITS)
+        key = int(tok[:pos])
         if key == 0:
-            if pos == n:
+            if pos == len(tok):
                 return None
             raise err("the empty cell '0' takes no annotations")
-    elif tok[0] in _IDENT_START:
-        start = pos
-        while pos < n and tok[pos] in _IDENT_CHARS:
-            pos += 1
-        key = tok[start:pos]
+    elif _is_identifier(tok[0]):
+        pos = _run_end(tok, 0, _IDENT_CHARS)
+        key = tok[:pos]
         if key in _RESERVED:
             raise err(f"{key!r} is reserved and cannot name an object")
     else:
         raise err(f"invalid cell token {tok!r}", expected=("code", "identifier", "0"))
 
     yaw = 0
-    if pos < n and tok[pos] == "@":
-        pos += 1
-        start = pos
-        if pos < n and tok[pos] == "-":
+    if tok.startswith("@", pos):
+        pos = start = pos + 1
+        if tok.startswith("-", pos):
             pos += 1
-        while pos < n and tok[pos] in _DIGITS:
-            pos += 1
+        pos = _run_end(tok, pos, _DIGITS)
         if pos == start or tok[start:pos] == "-":
             raise err("yaw must be an integer", expected=("@<degrees>",))
         yaw = int(tok[start:pos])
 
     override = None
-    if pos < n and tok[pos] == "[":
+    if tok.startswith("[", pos):
         pos += 1
         dims = []
         for axis in range(3):
             start = pos
-            while pos < n and tok[pos] in "0123456789.":
-                pos += 1
+            pos = _run_end(tok, start, _NUMBER_CHARS)
             value = _parse_float(tok[start:pos], lineno, col + start, what="size")
             if value <= 0:
                 raise ParseError(f"size must be positive: {value}", line=lineno, col=col + start)
             dims.append(value)
             if axis < 2:
-                if pos >= n or tok[pos] not in _SIZE_SEPS:
+                if not tok.startswith(_SIZE_SEPS, pos):
                     raise err("malformed size override", expected=("[LxWxH]",))
                 pos += 1
-        if pos >= n or tok[pos] != "]":
+        if not tok.startswith("]", pos):
             raise err("unterminated size override", expected=("]",))
         pos += 1
         override = tuple(dims)
 
     refs = []
     seen_faces = set()
-    while pos < n and tok[pos] == "(":
-        open_col = pos
-        pos += 1
-        start = pos
-        while pos < n and tok[pos] != ")":
-            pos += 1
-        if pos >= n:
-            pos = open_col
+    while tok.startswith("(", pos):
+        start = pos + 1
+        end = tok.find(")", start)
+        if end < 0:
             raise err("unterminated sub-layout reference", expected=(")",))
-        body = tok[start:pos]
-        pos += 1
+        body = tok[start:end]
+        pos = end + 1
         name, sep, face_name = body.rpartition("_on_")
         if not sep or not name or face_name not in faces:
             raise ParseError(
@@ -409,7 +398,7 @@ def parse_cell_token(
         refs.append((name, face))
         refs_out.append((name, face, lineno, col + start))
 
-    if pos < n:
+    if pos < len(tok):
         raise err(f"unexpected character {tok[pos]!r} in cell token")
 
     return CellSpec(key=key, yaw_deg=yaw, size_override=override, sublayout_refs=tuple(refs))
@@ -427,9 +416,10 @@ def block_from_section(
     rows = []
     width = None
     for lineno, raw in sec.rows:
-        cells = []
-        for tok, col in tokens_with_cols(raw):
-            cells.append(parse_cell(tok, lineno, col, faces, refs_out))
+        cells = [
+            None if tok == "0" else parse_cell(tok, lineno, col, faces, refs_out)
+            for tok, col in tokens_with_cols(raw)
+        ]
         if width is None:
             width = len(cells)
         elif len(cells) != width:
