@@ -21,7 +21,9 @@ Conventions (also documented in LANGUAGE.md):
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .errors import CompileError, ConfigError, EmptyBlockError, FaceDimensionError, VocabError
 from .geometry import GridSpec, OrientedBox, Vec3, normalize_yaw, normalize_yaw_rad
@@ -255,6 +257,16 @@ def _cell_size(cell: CellSpec, entry: VocabEntry) -> Vec3:
 # whole-program compilation
 
 
+@contextmanager
+def _finite_geometry(where: str) -> Iterator[None]:
+    """Report a lowered coordinate or size that overflowed the float range
+    (Vec3 rejects it with ValueError) as a CompileError naming ``where``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CompileError(f"geometry of {where} is too large to represent") from exc
+
+
 class _Lowering:
     """Id counters and placement list shared by one program's compilation."""
 
@@ -316,20 +328,21 @@ def compile_scene(
                 f"{entry.category.value} '{pid}' placed on the root grid at ({i},{j}) "
                 "rests on the floor"
             )
-        box = _root_box(cell, entry, (i, j), p.grid, config.ceiling_height_m)
-        lowering.placements.append(
-            Placement(
-                id=pid,
-                identifier=entry.identifier,
-                category=entry.category,
-                box=box,
-                parent=None,
-                depth=0,
-                source=Provenance("main", i, j, 0),
+        with _finite_geometry(f"cell ({i},{j})"):
+            box = _root_box(cell, entry, (i, j), p.grid, config.ceiling_height_m)
+            lowering.placements.append(
+                Placement(
+                    id=pid,
+                    identifier=entry.identifier,
+                    category=entry.category,
+                    box=box,
+                    parent=None,
+                    depth=0,
+                    source=Provenance("main", i, j, 0),
+                )
             )
-        )
-        for name, face in cell.sublayout_refs:
-            lowering.place_block(box, face, name, pid, 1)
+            for name, face in cell.sublayout_refs:
+                lowering.place_block(box, face, name, pid, 1)
 
     return CompiledScene(
         grid=p.grid,
@@ -375,15 +388,18 @@ def compile_building(b: BuildingProgram, vocab: Vocabulary) -> CompiledScene:
     for idx, run in enumerate(runs):
         pid = f"wall_{idx}"
         run_ids.append(pid)
+        i, j = run.cells[0]
+        with _finite_geometry(f"the wall run at cell ({i},{j})"):
+            box = _run_box(run, g, b.wall_thickness_m, b.wall_height_m)
         structural.append(
             Placement(
                 id=pid,
                 identifier="wall",
                 category=Category.STRUCTURAL,
-                box=_run_box(run, g, b.wall_thickness_m, b.wall_height_m),
+                box=box,
                 parent=None,
                 depth=0,
-                source=Provenance("structural", run.cells[0][0], run.cells[0][1], 0),
+                source=Provenance("structural", i, j, 0),
             )
         )
 
@@ -406,12 +422,14 @@ def compile_building(b: BuildingProgram, vocab: Vocabulary) -> CompiledScene:
             params = b.door if kind == "door" else b.window
             n = kind_counts[kind]
             kind_counts[kind] = n + 1
+            with _finite_geometry(f"cell ({i},{j})"):
+                center = Vec3(i * g, j * g, params.sill_m + params.height_m / 2.0)
             openings.append(
                 Opening(
                     id=f"{kind}_{n}",
                     kind=kind,
                     wall=run_ids[run_idx],
-                    center=Vec3(i * g, j * g, params.sill_m + params.height_m / 2.0),
+                    center=center,
                     width_m=params.width_m,
                     height_m=params.height_m,
                     sill_m=params.sill_m,
@@ -427,9 +445,6 @@ def compile_building(b: BuildingProgram, vocab: Vocabulary) -> CompiledScene:
             Vec3(g, b.wall_thickness_m, b.wall_height_m)
             if run.axis == 0
             else Vec3(b.wall_thickness_m, g, b.wall_height_m)
-        )
-        segment = OrientedBox(
-            center=Vec3(i * g, j * g, b.wall_height_m / 2.0), size=seg_size, yaw=0.0
         )
         pos_n, neg_n = _NORMALS[run.axis]
         sides = {}
@@ -459,21 +474,27 @@ def compile_building(b: BuildingProgram, vocab: Vocabulary) -> CompiledScene:
         else:
             face_normals = {WallFace.INNER: neg_n, WallFace.OUTER: pos_n}
 
-        for name, wall_face in cell.sublayout_refs:
-            face = _NORMAL_TO_FACE[face_normals[wall_face]]
-            lowering.place_block(segment, face, name, run_ids[run_idx], 1, wall_face)
+        with _finite_geometry(f"cell ({i},{j})"):
+            segment = OrientedBox(
+                center=Vec3(i * g, j * g, b.wall_height_m / 2.0), size=seg_size, yaw=0.0
+            )
+            for name, wall_face in cell.sublayout_refs:
+                face = _NORMAL_TO_FACE[face_normals[wall_face]]
+                lowering.place_block(segment, face, name, run_ids[run_idx], 1, wall_face)
 
     if b.ceiling_block is not None:
-        slab = OrientedBox(
-            center=Vec3(
-                (n_rows - 1) * g / 2.0,
-                (n_cols - 1) * g / 2.0,
-                b.wall_height_m + _CEILING_SLAB_M / 2.0,
-            ),
-            size=Vec3(n_rows * g, n_cols * g, _CEILING_SLAB_M),
-            yaw=0.0,
-        )
-        for placement in lowering.place_block(slab, Face.BOTTOM, b.ceiling_block, None, 0):
+        with _finite_geometry(f"the ceiling block {b.ceiling_block!r}"):
+            slab = OrientedBox(
+                center=Vec3(
+                    (n_rows - 1) * g / 2.0,
+                    (n_cols - 1) * g / 2.0,
+                    b.wall_height_m + _CEILING_SLAB_M / 2.0,
+                ),
+                size=Vec3(n_rows * g, n_cols * g, _CEILING_SLAB_M),
+                yaw=0.0,
+            )
+            ceiling = lowering.place_block(slab, Face.BOTTOM, b.ceiling_block, None, 0)
+        for placement in ceiling:
             if placement.category is not Category.CEILING_MOUNTED:
                 warnings.append(
                     f"{placement.category.value} '{placement.id}' hangs from the ceiling plane"

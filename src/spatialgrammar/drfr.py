@@ -163,6 +163,8 @@ def evaluate_check(s: CompiledScene, c: AtomicCheck) -> bool:
 
 
 def evaluate_drfr(s: CompiledScene, cl: Checklist) -> DrfrResult:
+    if not cl.checks:  # a turn that only removes labels is scored by evaluate_cumulative
+        raise SchemaError("a checklist with no checks has nothing to score")
     verdicts = tuple((c, evaluate_check(s, c)) for c in cl.checks)
     satisfied = sum(1 for _, ok in verdicts if ok)
     return DrfrResult(ratio=satisfied / len(verdicts), per_check=verdicts)

@@ -139,23 +139,17 @@ def _scene_from_doc(doc: dict, vocab: Vocabulary | None) -> CompiledScene:
             raise SchemaError(f"scene JSON has two entries with id {p.id!r}")
         by_id[p.id] = p
     for p in entries:
-        if p.parent is not None and (p.parent == p.id or p.parent not in by_id):
+        if p.parent is not None and p.parent not in by_id:
             raise SchemaError(f"scene JSON entry {p.id!r} has parent {p.parent!r}, "
                               "which is not the id of another entry")
+        # depth 0 at a root and one more than the parent's below it: no cycle passes
+        want = 0 if p.parent is None else by_id[p.parent].depth + 1
+        if p.depth != want:
+            raise SchemaError(f"scene JSON entry {p.id!r} has depth {p.depth}, but its "
+                              f"parent {p.parent!r} puts it at depth {want}")
     placements = [_infer_face(p, by_id) for p in placements]
-    openings = tuple(
-        Opening(
-            id=row["id"],
-            kind=row["kind"],
-            wall=row["wall"],
-            center=Vec3(*row["center"]),
-            width_m=float(row["width"]),
-            height_m=float(row["height"]),
-            sill_m=float(row["sill"]),
-            cell=(int(row["cell"][0]), int(row["cell"][1])),
-        )
-        for row in _list(doc, "openings")
-    )
+    walls = {p.id for p in structural}
+    openings = tuple(_row_to_opening(row, walls) for row in _list(doc, "openings"))
     return CompiledScene(
         grid=grid,
         placements=tuple(placements),
@@ -199,6 +193,31 @@ def _row_to_placement(row: dict, vocab: Vocabulary | None, structural: bool) -> 
         parent=row["parent"],
         depth=depth,
         source=Provenance("import", int(row["cell"][0]), int(row["cell"][1]), depth),
+    )
+
+
+def _row_to_opening(row: dict, walls: set[str]) -> Opening:
+    oid, kind, wall = row["id"], row["kind"], row["wall"]
+    if not isinstance(oid, str):
+        raise SchemaError(f"scene JSON opening 'id' must be a string, got {oid!r}")
+    if kind not in ("door", "window"):
+        raise SchemaError(f"scene JSON opening {oid!r} has kind {kind!r}, not door or window")
+    if not isinstance(wall, str) or wall not in walls:
+        raise SchemaError(f"scene JSON opening {oid!r} names wall {wall!r}, "
+                          "which is not the id of a structural entry")
+    width, height, sill = float(row["width"]), float(row["height"]), float(row["sill"])
+    if not (0 < width < math.inf and 0 < height < math.inf and 0 <= sill < math.inf):
+        raise SchemaError(f"scene JSON opening {oid!r} needs a finite width and height above 0 "
+                          "and a finite sill of at least 0")
+    return Opening(
+        id=oid,
+        kind=kind,
+        wall=wall,
+        center=Vec3(*row["center"]),
+        width_m=width,
+        height_m=height,
+        sill_m=sill,
+        cell=(int(row["cell"][0]), int(row["cell"][1])),
     )
 
 

@@ -102,19 +102,9 @@ class OrientedBox:
 def box_corners(box: OrientedBox) -> tuple[Vec3, ...]:
     """All 8 corners: bottom face counter-clockwise from (-x, -y), then the top face
     in the same order.  The order is part of the export contract."""
-    hx, hy, hz = box.size.x / 2.0, box.size.y / 2.0, box.size.z / 2.0
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    corners = []
-    for lz in (-hz, hz):
-        for lx, ly in ((-hx, -hy), (hx, -hy), (hx, hy), (-hx, hy)):
-            corners.append(
-                Vec3(
-                    box.center.x + lx * c - ly * s,
-                    box.center.y + lx * s + ly * c,
-                    box.center.z + lz,
-                )
-            )
-    return tuple(corners)
+    hz = box.size.z / 2.0
+    ground = box.footprint_corners()
+    return tuple(Vec3(x, y, box.center.z + lz) for lz in (-hz, hz) for x, y in ground)
 
 
 @dataclass(frozen=True)

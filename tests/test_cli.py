@@ -55,6 +55,7 @@ def assert_main_usage_error(argv: list[str], capsys) -> str:
 
 
 HUGE = "9" * 400  # a decimal literal that float() turns into inf
+BIG = "1" + "0" * 307  # finite, but 30 cells of it overflow a float
 OFFICE = json.loads((REPO / "src/spatialgrammar/data/templates/office.json").read_text())
 
 
@@ -140,8 +141,11 @@ class TestCompile:
             f"llmsli grid=1m dims=1x1\nmain:\nsofa[{HUGE}x1x1]\n",
             f"llmsli grid={HUGE}m dims=1x1\nmain:\nsofa\n",
             f"llmslb grid=1m dims=1x2 height={HUGE}m\nmain:\nw w\n",
+            f"llmsli grid={BIG}m dims=1x30\nmain:\n" + "0 " * 29 + "sofa\n",
+            f"llmslb grid={BIG}m dims=3x30\nmain:\n"
+            + "w " * 29 + "w\nw " + "0 " * 28 + "w\n" + "w " * 29 + "w\n",
         ],
-        ids=["size", "grid", "height"],
+        ids=["size", "grid", "height", "room-extent", "shell-extent"],
     )
     def test_overflowing_number_exit_2(self, command, source, tmp_path, capsys):
         path = tmp_path / "huge.sg"
@@ -565,6 +569,15 @@ def edit_lamp(**fields):
     return lambda doc: doc["placements"][1].update(fields)
 
 
+def edit_door(**fields):
+    """An edit of the compiled RING shell's scene JSON that sets fields of its door row."""
+    def edit(doc):
+        assert doc["openings"][0]["kind"] == "door"
+        doc["openings"][0].update(fields)
+    edit.source = RING
+    return edit
+
+
 def size_check(min_size: str) -> str:
     """Checklist JSON text with a min_size written verbatim."""
     return ('{"checks": [{"kind": "attribute_size", "subject": "sofa", '
@@ -684,6 +697,14 @@ class TestEval:
             (lambda doc: doc.update(placements={}), LAMP_ON_DESK),
             (lambda doc: doc.update(structural={}), LAMP_ON_DESK),
             (lambda doc: doc.update(openings={}), LAMP_ON_DESK),
+            (lambda doc: doc["placements"][0].update(parent="desk_lamp_0"), LAMP_ON_DESK),
+            (edit_lamp(depth=5), LAMP_ON_DESK),
+            (edit_door(id=5), EXIST_SOFA),
+            (edit_door(kind="portal"), EXIST_SOFA),
+            (edit_door(wall="nowhere"), EXIST_SOFA),
+            (edit_door(width=-1), EXIST_SOFA),
+            (edit_door(height=float("inf")), EXIST_SOFA),
+            (edit_door(sill=-0.5), EXIST_SOFA),
             (None, {"turns": [{"turn_id": 1, "checks": [], "removes": ["x"]}]}),
             (None, size_check("[1e400, 1, 1]")),
             (None, size_check("[1, 2, true]")),
@@ -694,7 +715,10 @@ class TestEval:
              "size-not-a-list", "identifier-not-a-string", "id-not-a-string", "duplicate-id",
              "duplicate-id-in-structural", "parent-names-no-entry", "parent-is-itself",
              "parent-not-a-string", "negative-depth", "bool-depth", "float-depth",
-             "placements-object", "structural-object", "openings-object",
+             "placements-object", "structural-object", "openings-object", "parent-cycle",
+             "depth-disagrees", "opening-id-not-a-string", "opening-kind-unknown",
+             "opening-wall-unknown", "opening-width-negative", "opening-height-infinite",
+             "opening-sill-negative",
              "turn-with-nothing-to-score", "size-overflows-to-inf", "size-bool", "size-nan",
              "size-int-beyond-float"],
     )
@@ -702,7 +726,7 @@ class TestEval:
         scene = room
         if callable(scene_doc):
             desk = tmp_path / "desk.sg"
-            desk.write_text(DESK, encoding="utf-8")
+            desk.write_text(getattr(scene_doc, "source", DESK), encoding="utf-8")
             assert main(["compile", str(desk), "-o", str(tmp_path / "desk.json")]) == EXIT_OK
             doc = json.loads((tmp_path / "desk.json").read_text(encoding="utf-8"))
             scene_doc(doc)

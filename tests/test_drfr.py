@@ -167,6 +167,10 @@ class TestRatio:
         with pytest.raises(ValueError):
             Checklist(checks=())
 
+    def test_removes_only_checklist_has_nothing_to_score(self, scene):
+        with pytest.raises(SchemaError, match="nothing to score"):
+            evaluate_drfr(scene, Checklist(checks=(), removes=("x",)))
+
 
 class TestCumulative:
     def test_union_over_turns(self, vocab):

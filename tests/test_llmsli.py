@@ -16,6 +16,7 @@ from spatialgrammar.llmsli import (
     print_llmsli,
     program_hash,
     program_stats,
+    tokens_with_cols,
 )
 
 from conftest import make_room
@@ -352,3 +353,37 @@ def test_fuzz_only_parse_errors(text):
         parse_llmsli(text)
     except ParseError:
         pass
+
+
+# every code point for which str.isspace() holds, beyond Latin-1 too
+_WHITESPACE = (
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+    "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
+
+
+def _tokens_by_char(raw: str) -> list[tuple[str, int]]:
+    """Reference tokenizer: a character-at-a-time str.isspace scan."""
+    toks = []
+    i, n = 0, len(raw)
+    while i < n:
+        if raw[i].isspace():
+            i += 1
+            continue
+        start = i
+        while i < n and not raw[i].isspace():
+            i += 1
+        toks.append((raw[start:i], start + 1))
+    return toks
+
+
+def test_split_and_isspace_agree_on_every_code_point():
+    chars = [chr(i) for i in range(0x110000)]
+    assert {c for c in chars if not c.split()} == set(_WHITESPACE)
+    assert {c for c in chars if c.isspace()} == set(_WHITESPACE)
+
+
+@given(st.text(st.sampled_from(_WHITESPACE + "0sofa_@-90[1x2×3](T_on_top)é中")))
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_tokens_match_a_character_scan(raw):
+    assert tokens_with_cols(raw) == _tokens_by_char(raw)
