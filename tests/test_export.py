@@ -1,11 +1,14 @@
+import hashlib
 import json
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
-from spatialgrammar.compiler import CompiledScene, compile_building, compile_scene
-from spatialgrammar.errors import UnsupportedFormat
+from spatialgrammar.compiler import CompiledScene, compile_building, compile_scene, compile_source
+from spatialgrammar.datagen import generate_sft_dataset
+from spatialgrammar.errors import SpatialGrammarError, UnsupportedFormat
 from spatialgrammar.export import (
     FORMATS,
     canonical_json,
@@ -16,6 +19,8 @@ from spatialgrammar.export import (
 from spatialgrammar.geometry import GridSpec
 from spatialgrammar.llmsli import parse_llmsli
 from spatialgrammar.llmslb import parse_llmslb
+from spatialgrammar.templates import load_template
+from spatialgrammar.validator import ValidatorConfig, validate
 from spatialgrammar.vocab import Category
 
 from conftest import make_room
@@ -40,6 +45,24 @@ RING = (
     "sublayout AC dims=1x1:\nair_conditioner\n"
     "sublayout Top dims=1x1:\npendant_light\n"
 )
+
+STREAM = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "stream.json"
+
+
+def golden_sources(name: str, vocab) -> list[str]:
+    """The benchmark's committed stream, or the gen-data SFT programs of one template."""
+    if name == "stream":
+        return [p["text"] for p in json.loads(STREAM.read_text(encoding="utf-8"))["programs"]]
+    return [s.code for s in generate_sft_dataset(load_template(name, vocab), 60, 2024, vocab)]
+
+
+def compiled(sources: list[str], vocab):
+    """(program, scene) for every source that compiles."""
+    for text in sources:
+        try:
+            yield compile_source(text, vocab)
+        except SpatialGrammarError:
+            continue
 
 
 class TestCanonicalJson:
@@ -253,3 +276,34 @@ class TestSceneToDict:
         assert canonical_json(scene_to_dict(scene)).encode() + b"\n" == export_scene(
             scene, "json"
         ) or canonical_json(scene_to_dict(scene)).encode() == export_scene(scene, "json")
+
+
+# SHA-256 over the compiling programs of (report JSON lines, scene JSON exports)
+GOLDEN_JSON_SHA256 = {
+    "stream": (
+        "01cc2e3bd1fd820141b2b9fdaef7541b37c759a4fbee0d77b8b1d40fcb6b33f1",
+        "cd481e9c338e067d82c8a3393fafc6ad88a095f36493b2b76c6842d3a9478186",
+    ),
+    "bedroom": (
+        "1abea667dce0c1c6110e7373229e6c199eaa9d8399762f285d3c9fd9ac2c73ab",
+        "d2760ab1944fea46b0319d6a4a7bc850e92eae831dcc49cc3ee98cb086ae38c1",
+    ),
+    "living_room": (
+        "1abea667dce0c1c6110e7373229e6c199eaa9d8399762f285d3c9fd9ac2c73ab",
+        "8aadf2801b44b5c869a44a864e3eab139cd01d0ca7b5c60b5c860d5f8c6fd9c3",
+    ),
+    "office": (
+        "1abea667dce0c1c6110e7373229e6c199eaa9d8399762f285d3c9fd9ac2c73ab",
+        "c62f18f5c996ad4743455a6f1eb4e5606fb81535e70978097e0dae17bc3046b2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_JSON_SHA256))
+def test_golden_json_bytes(name, vocab):
+    report, scene_json = hashlib.sha256(), hashlib.sha256()
+    for program, scene in compiled(golden_sources(name, vocab), vocab):
+        config = ValidatorConfig(floor_extent_m=getattr(program, "floor_extent_m", None))
+        report.update(canonical_json(validate(scene, config).to_dict()).encode() + b"\n")
+        scene_json.update(export_scene(scene, "json"))
+    assert (report.hexdigest(), scene_json.hexdigest()) == GOLDEN_JSON_SHA256[name]
