@@ -35,22 +35,102 @@ def _fmt(x: float) -> str:
     return "0.000000" if s == "-0.000000" else s
 
 
+def _num(x: float) -> str:
+    """_fmt for JSON, which has no form for a non-finite number."""
+    s = f"{x:.6f}"
+    if s[-1] > "9":  # "nan", "inf" or "-inf": a finite number ends in a digit
+        raise ValueError(f"cannot serialize the non-finite number {x!r}")
+    return "0.000000" if s == "-0.000000" else s
+
+
+# the C encoders behind json.dumps(s, ensure_ascii=False) and json.dumps(s)
+_encode_str = json.encoder.encode_basestring
+_encode_key = json.encoder.encode_basestring_ascii
+
+
 def canonical_json(value) -> str:
-    """Compact JSON with sorted keys and fixed-width floats."""
-    if isinstance(value, bool) or value is None:
-        return json.dumps(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _fmt(value)
-    if isinstance(value, str):
-        return json.dumps(value, ensure_ascii=False)
-    if isinstance(value, dict):
-        items = sorted(value.items())
-        return "{" + ",".join(json.dumps(k) + ":" + canonical_json(v) for k, v in items) + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(canonical_json(v) for v in value) + "]"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+    """Compact JSON with sorted keys and fixed-width floats.
+
+    Keys are ASCII-escaped and string values are raw UTF-8.  Raises
+    ValueError for a NaN or infinite float and TypeError for a dict key that
+    is not a string or a value JSON has no form for.
+    """
+    out: list[str] = []
+    _write(value, out.append)
+    return "".join(out)
+
+
+def _write(v, emit) -> None:
+    t = type(v)
+    if t is str:
+        emit(_encode_str(v))
+    elif t is float:
+        emit(_num(v))
+    elif t is list or t is tuple:
+        _write_list(v, emit)
+    elif t is dict:
+        _write_dict(v, _key_plan(v), emit)
+    elif t is int:
+        emit(int.__repr__(v))
+    elif v is None:
+        emit("null")
+    elif v is True:
+        emit("true")
+    elif v is False:
+        emit("false")
+    # subclasses, such as str-valued Enums, take the generic checks
+    elif isinstance(v, int):
+        emit(str(v))
+    elif isinstance(v, float):
+        emit(_num(v))
+    elif isinstance(v, str):
+        emit(_encode_str(v))
+    elif isinstance(v, dict):
+        _write_dict(v, _key_plan(v), emit)
+    elif isinstance(v, (list, tuple)):
+        _write_list(v, emit)
+    else:
+        raise TypeError(f"cannot serialize {type(v).__name__}")
+
+
+def _key_plan(d: dict) -> list[tuple[str, str]]:
+    """(key, the text written before its value) for each key of d, in sorted order."""
+    for k in d:
+        if not isinstance(k, str):
+            raise TypeError(f"cannot serialize the dict key {k!r}: JSON keys are strings")
+    plan = [(k, "," + _encode_key(k) + ":") for k in sorted(d)]
+    if plan:
+        plan[0] = (plan[0][0], "{" + plan[0][1][1:])
+    return plan
+
+
+def _write_dict(d: dict, plan: list[tuple[str, str]], emit) -> None:
+    if not plan:
+        emit("{}")
+        return
+    for k, before in plan:
+        emit(before)
+        _write(d[k], emit)
+    emit("}")
+
+
+def _write_list(items, emit) -> None:
+    if not items:
+        emit("[]")
+        return
+    sep = "["
+    keys = plan = None
+    for item in items:
+        emit(sep)
+        sep = ","
+        if type(item) is dict:
+            # rows of one shape, such as a report's collisions, share one key order
+            if item.keys() != keys:
+                keys, plan = item.keys(), _key_plan(item)
+            _write_dict(item, plan, emit)
+        else:
+            _write(item, emit)
+    emit("]")
 
 
 def _placement_row(p: Placement) -> dict:
@@ -72,17 +152,19 @@ def _opening_row(o: Opening) -> dict:
         "kind": o.kind,
         "wall": o.wall,
         "center": list(o.center.as_tuple()),
-        "width": o.width_m,
-        "height": o.height_m,
-        "sill": o.sill_m,
+        "width": float(o.width_m),
+        "height": float(o.height_m),
+        "sill": float(o.sill_m),
         "cell": list(o.cell),
     }
 
 
 def scene_to_dict(s: CompiledScene) -> dict:
+    """The scene JSON as plain data: canonical_json of it plus a newline is
+    export_scene(s, "json")."""
     return {
         "grid": {
-            "cell_size": s.grid.cell_size_m,
+            "cell_size": float(s.grid.cell_size_m),
             "rows": s.grid.rows,
             "cols": s.grid.cols,
         },
@@ -92,9 +174,44 @@ def scene_to_dict(s: CompiledScene) -> dict:
     }
 
 
+# The scene JSON writers below lay each row out in the sorted key order of the
+# schema, so they write what canonical_json(scene_to_dict(s)) does.
+
+def _placement_json(p: Placement) -> str:
+    b = p.box
+    c, z = b.center, b.size
+    parent = "null" if p.parent is None else _encode_str(p.parent)
+    return (
+        f'{{"cell":[{p.source.row},{p.source.col}],'
+        f'"center":[{_num(c.x)},{_num(c.y)},{_num(c.z)}],"depth":{p.depth},'
+        f'"id":{_encode_str(p.id)},"identifier":{_encode_str(p.identifier)},"parent":{parent},'
+        f'"size":[{_num(z.x)},{_num(z.y)},{_num(z.z)}],"yaw_rad":{_num(b.yaw)}}}'
+    )
+
+
+def _opening_json(o: Opening) -> str:
+    c = o.center
+    row, col = o.cell
+    return (
+        f'{{"cell":[{row},{col}],"center":[{_num(c.x)},{_num(c.y)},{_num(c.z)}],'
+        f'"height":{_num(o.height_m)},"id":{_encode_str(o.id)},"kind":{_encode_str(o.kind)},'
+        f'"sill":{_num(o.sill_m)},"wall":{_encode_str(o.wall)},"width":{_num(o.width_m)}}}'
+    )
+
+
+def _scene_json(s: CompiledScene) -> str:
+    g = s.grid
+    return (
+        f'{{"grid":{{"cell_size":{_num(g.cell_size_m)},"cols":{g.cols},"rows":{g.rows}}},'
+        f'"openings":[{",".join(map(_opening_json, s.openings))}],'
+        f'"placements":[{",".join(map(_placement_json, s.placements))}],'
+        f'"structural":[{",".join(map(_placement_json, s.structural))}]}}\n'
+    )
+
+
 def export_scene(s: CompiledScene, format: str = "json") -> bytes:
     if format == "json":
-        return (canonical_json(scene_to_dict(s)) + "\n").encode("utf-8")
+        return _scene_json(s).encode("utf-8")
     if format == "obj":
         return _export_obj(s).encode("utf-8")
     if format == "svg":
@@ -122,9 +239,9 @@ def load_scene_json(data: bytes | str, vocab: Vocabulary | None = None) -> Compi
 
 def _scene_from_doc(doc: dict, vocab: Vocabulary | None) -> CompiledScene:
     grid = GridSpec(
-        cell_size_m=float(doc["grid"]["cell_size"]),
-        rows=int(doc["grid"]["rows"]),
-        cols=int(doc["grid"]["cols"]),
+        cell_size_m=_number(doc["grid"]["cell_size"], "'cell_size'"),
+        rows=_index(doc["grid"]["rows"], "'rows'"),
+        cols=_index(doc["grid"]["cols"], "'cols'"),
     )
     placements = [
         _row_to_placement(row, vocab, structural=False) for row in _list(doc, "placements")
@@ -165,6 +282,36 @@ def _list(doc: dict, key: str) -> list:
     return value
 
 
+def _number(value, what: str) -> float:
+    """A finite JSON number as a float; true, false and strings are not numbers."""
+    if type(value) is float or type(value) is int:
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise SchemaError(f"scene JSON {what} must be a finite number, got {value!r}")
+
+
+def _index(value, what: str) -> int:
+    if type(value) is not int:
+        raise SchemaError(f"scene JSON {what} must be an integer, got {value!r}")
+    return value
+
+
+def _vec3(value, what: str) -> Vec3:
+    if not isinstance(value, list) or len(value) != 3:
+        raise SchemaError(f"scene JSON {what} must be a list of 3 numbers, got {value!r}")
+    return Vec3(*(_number(v, f"{what} entry") for v in value))
+
+
+def _cell(value) -> tuple[int, int]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise SchemaError(f"scene JSON 'cell' must be a list of 2 integers, got {value!r}")
+    return _index(value[0], "'cell' entry"), _index(value[1], "'cell' entry")
+
+
 def _row_to_placement(row: dict, vocab: Vocabulary | None, structural: bool) -> Placement:
     for key in ("id", "identifier"):
         if not isinstance(row[key], str):
@@ -186,13 +333,13 @@ def _row_to_placement(row: dict, vocab: Vocabulary | None, structural: bool) -> 
         identifier=identifier,
         category=category,
         box=OrientedBox(
-            center=Vec3(*row["center"]),
-            size=Vec3(*row["size"]),
-            yaw=float(row["yaw_rad"]),
+            center=_vec3(row["center"], "'center'"),
+            size=_vec3(row["size"], "'size'"),
+            yaw=_number(row["yaw_rad"], "'yaw_rad'"),
         ),
         parent=row["parent"],
         depth=depth,
-        source=Provenance("import", int(row["cell"][0]), int(row["cell"][1]), depth),
+        source=Provenance("import", *_cell(row["cell"]), depth),
     )
 
 
@@ -205,19 +352,19 @@ def _row_to_opening(row: dict, walls: set[str]) -> Opening:
     if not isinstance(wall, str) or wall not in walls:
         raise SchemaError(f"scene JSON opening {oid!r} names wall {wall!r}, "
                           "which is not the id of a structural entry")
-    width, height, sill = float(row["width"]), float(row["height"]), float(row["sill"])
-    if not (0 < width < math.inf and 0 < height < math.inf and 0 <= sill < math.inf):
+    width, height, sill = (_number(row[k], f"opening {k!r}") for k in ("width", "height", "sill"))
+    if not (width > 0 and height > 0 and sill >= 0):
         raise SchemaError(f"scene JSON opening {oid!r} needs a finite width and height above 0 "
                           "and a finite sill of at least 0")
     return Opening(
         id=oid,
         kind=kind,
         wall=wall,
-        center=Vec3(*row["center"]),
+        center=_vec3(row["center"], "opening 'center'"),
         width_m=width,
         height_m=height,
         sill_m=sill,
-        cell=(int(row["cell"][0]), int(row["cell"][1])),
+        cell=_cell(row["cell"]),
     )
 
 

@@ -569,6 +569,11 @@ def edit_lamp(**fields):
     return lambda doc: doc["placements"][1].update(fields)
 
 
+def edit_grid(**fields):
+    """An edit of the compiled DESK scene JSON that sets fields of its grid."""
+    return lambda doc: doc["grid"].update(fields)
+
+
 def edit_door(**fields):
     """An edit of the compiled RING shell's scene JSON that sets fields of its door row."""
     def edit(doc):
@@ -705,6 +710,17 @@ class TestEval:
             (edit_door(width=-1), EXIST_SOFA),
             (edit_door(height=float("inf")), EXIST_SOFA),
             (edit_door(sill=-0.5), EXIST_SOFA),
+            (edit_lamp(yaw_rad="nan"), LAMP_ON_DESK),
+            (edit_lamp(yaw_rad=float("nan")), LAMP_ON_DESK),
+            (edit_grid(rows="3"), LAMP_ON_DESK),
+            (edit_grid(rows=2.7), LAMP_ON_DESK),
+            (edit_grid(cols=True), LAMP_ON_DESK),
+            (edit_grid(cell_size="1.0"), LAMP_ON_DESK),
+            (edit_lamp(size=[True, 0.9, 0.8]), LAMP_ON_DESK),
+            (edit_lamp(center=[1.0, 1.0, 10**400]), LAMP_ON_DESK),
+            (edit_lamp(cell=[True, 2.7]), LAMP_ON_DESK),
+            (edit_door(width=True), EXIST_SOFA),
+            (edit_door(cell=[0, "2"]), EXIST_SOFA),
             (None, {"turns": [{"turn_id": 1, "checks": [], "removes": ["x"]}]}),
             (None, size_check("[1e400, 1, 1]")),
             (None, size_check("[1, 2, true]")),
@@ -718,7 +734,9 @@ class TestEval:
              "placements-object", "structural-object", "openings-object", "parent-cycle",
              "depth-disagrees", "opening-id-not-a-string", "opening-kind-unknown",
              "opening-wall-unknown", "opening-width-negative", "opening-height-infinite",
-             "opening-sill-negative",
+             "opening-sill-negative", "yaw-string", "yaw-nan", "rows-string", "rows-fractional",
+             "cols-bool", "cell-size-string", "size-entry-bool", "center-int-beyond-float",
+             "cell-bool-and-fractional", "opening-width-bool", "opening-cell-string",
              "turn-with-nothing-to-score", "size-overflows-to-inf", "size-bool", "size-nan",
              "size-int-beyond-float"],
     )

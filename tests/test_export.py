@@ -1,3 +1,5 @@
+import dataclasses
+import enum
 import hashlib
 import json
 import math
@@ -5,6 +7,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spatialgrammar.compiler import CompiledScene, compile_building, compile_scene, compile_source
 from spatialgrammar.datagen import generate_sft_dataset
@@ -65,6 +68,75 @@ def compiled(sources: list[str], vocab):
             continue
 
 
+def reference_canonical_json(value) -> str:
+    """The recursive writer that canonical_json replaced: one json.dumps per key and string."""
+    if isinstance(value, bool) or value is None:
+        return json.dumps(value)
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        s = f"{value:.6f}"
+        return "0.000000" if s == "-0.000000" else s
+    if isinstance(value, str):
+        return json.dumps(value, ensure_ascii=False)
+    if isinstance(value, dict):
+        items = sorted(value.items())
+        return "{" + ",".join(
+            json.dumps(k) + ":" + reference_canonical_json(v) for k, v in items
+        ) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(reference_canonical_json(v) for v in value) + "]"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+class Kind(str, enum.Enum):
+    DOOR = "door"
+    ODD = "caf\u00e9\u2028\U0001f600\x00"
+
+
+class Level(enum.IntEnum):
+    TOP = 3
+
+
+TEXT = st.text(st.one_of(st.characters(), st.sampled_from("\x00\x1f\x7f\u2028\u2029\"\\\U0001f600")))
+LEAVES = st.one_of(
+    TEXT,
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, -1e-9, 1e-7, -5e-7, 1e300]),
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(list(Kind) + list(Level)),
+)
+
+
+@st.composite
+def rows(draw, values):
+    """A list of dicts with one key set, each built in its own key order."""
+    keys = draw(st.lists(TEXT, max_size=5, unique=True))
+    return [{k: draw(values) for k in draw(st.permutations(keys))}
+            for _ in range(draw(st.integers(0, 4)))]
+
+
+JSON_VALUES = st.recursive(
+    LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(TEXT, children, max_size=5),
+        rows(children),
+    ),
+    max_leaves=20,
+)
+
+
+@given(JSON_VALUES)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_canonical_json_matches_the_recursive_writer(value):
+    assert canonical_json(value) == reference_canonical_json(value)
+
+
 class TestCanonicalJson:
     def test_sorted_compact(self):
         assert canonical_json({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'
@@ -89,6 +161,19 @@ class TestCanonicalJson:
     def test_unknown_type(self):
         with pytest.raises(TypeError):
             canonical_json(object())
+
+    @pytest.mark.parametrize("value", [float("nan"), [1e400], {"a": -math.inf}, (1.0, math.inf)])
+    def test_non_finite_refused(self, value):
+        with pytest.raises(ValueError):
+            canonical_json(value)
+
+    @pytest.mark.parametrize("value", [{1: 2}, {True: 1}, {None: 1}, [{"a": 1}, {2: 1}]])
+    def test_non_string_key_refused(self, value):
+        with pytest.raises(TypeError):
+            canonical_json(value)
+
+    def test_keys_escaped_values_raw(self):
+        assert canonical_json({"é": "é\u2028"}) == '{"\\u00e9":"é\u2028"}'
 
 
 class TestJsonExport:
@@ -143,6 +228,15 @@ class TestJsonExport:
             "sill",
             "cell",
         }
+
+    def test_non_finite_yaw_refused(self, vocab):
+        scene = compile_scene(parse_llmsli(NESTED), vocab)
+        sofa = scene.placements[0]
+        box = dataclasses.replace(sofa.box)
+        object.__setattr__(box, "yaw", math.nan)
+        scene = dataclasses.replace(scene, placements=(dataclasses.replace(sofa, box=box),))
+        with pytest.raises(ValueError):
+            export_scene(scene, "json")
 
     def test_unsupported_format(self, vocab):
         scene = compile_scene(parse_llmsli(make_room("sofa")), vocab)
@@ -272,10 +366,13 @@ class TestSvgExport:
 
 class TestSceneToDict:
     def test_matches_export(self, vocab):
-        scene = compile_scene(parse_llmsli(NESTED), vocab)
-        assert canonical_json(scene_to_dict(scene)).encode() + b"\n" == export_scene(
-            scene, "json"
-        ) or canonical_json(scene_to_dict(scene)).encode() == export_scene(scene, "json")
+        scenes = [compile_scene(parse_llmsli(NESTED), vocab),
+                  compile_building(parse_llmslb(RING), vocab)]
+        assert scenes[1].structural and scenes[1].openings
+        scenes += [scene for _, scene in compiled(golden_sources("stream", vocab), vocab)]
+        for scene in scenes:
+            blob = (canonical_json(scene_to_dict(scene)) + "\n").encode("utf-8")
+            assert blob == export_scene(scene, "json")
 
 
 # SHA-256 over the compiling programs of (report JSON lines, scene JSON exports)
