@@ -1,7 +1,9 @@
 """Scene serialization: canonical JSON, OBJ box meshes, and a BEV SVG plot.
 
-The JSON form is the interchange format and is byte-stable: keys sorted,
-floats rendered with "%.6f", negative zero normalized.  Schema:
+The JSON form is the interchange format and is byte-stable: keys sorted
+and ASCII-escaped, string values raw UTF-8, floats rendered with "%.6f",
+negative zero normalized.  NaN and infinities are never written; a value
+holding one raises ValueError.  Schema:
 
     {grid: {cell_size, rows, cols},
      placements: [{id, identifier, center:[x,y,z], size:[l,w,h], yaw_rad,
@@ -9,6 +11,10 @@ floats rendered with "%.6f", negative zero normalized.  Schema:
      structural: [... same row shape ...],
      openings: [{id, kind, wall, center:[x,y,z], width, height, sill,
                  cell:[i,j]}]}
+
+The loader takes only the schema's scalar types: finite JSON numbers (never
+true, false or a string) for lengths, yaw and coordinates, and JSON integers
+for rows, cols and cells.
 
 OBJ and SVG are one-way debug views; only JSON reimports.
 """
@@ -31,12 +37,6 @@ _REIMPORT_FACE_TOL = 1e-3
 
 
 def _fmt(x: float) -> str:
-    s = f"{x:.6f}"
-    return "0.000000" if s == "-0.000000" else s
-
-
-def _num(x: float) -> str:
-    """_fmt for JSON, which has no form for a non-finite number."""
     s = f"{x:.6f}"
     if s[-1] > "9":  # "nan", "inf" or "-inf": a finite number ends in a digit
         raise ValueError(f"cannot serialize the non-finite number {x!r}")
@@ -65,7 +65,7 @@ def _write(v, emit) -> None:
     if t is str:
         emit(_encode_str(v))
     elif t is float:
-        emit(_num(v))
+        emit(_fmt(v))
     elif t is list or t is tuple:
         _write_list(v, emit)
     elif t is dict:
@@ -82,7 +82,7 @@ def _write(v, emit) -> None:
     elif isinstance(v, int):
         emit(str(v))
     elif isinstance(v, float):
-        emit(_num(v))
+        emit(_fmt(v))
     elif isinstance(v, str):
         emit(_encode_str(v))
     elif isinstance(v, dict):
@@ -98,10 +98,7 @@ def _key_plan(d: dict) -> list[tuple[str, str]]:
     for k in d:
         if not isinstance(k, str):
             raise TypeError(f"cannot serialize the dict key {k!r}: JSON keys are strings")
-    plan = [(k, "," + _encode_key(k) + ":") for k in sorted(d)]
-    if plan:
-        plan[0] = (plan[0][0], "{" + plan[0][1][1:])
-    return plan
+    return [(k, ("," if i else "{") + _encode_key(k) + ":") for i, k in enumerate(sorted(d))]
 
 
 def _write_dict(d: dict, plan: list[tuple[str, str]], emit) -> None:
@@ -183,9 +180,9 @@ def _placement_json(p: Placement) -> str:
     parent = "null" if p.parent is None else _encode_str(p.parent)
     return (
         f'{{"cell":[{p.source.row},{p.source.col}],'
-        f'"center":[{_num(c.x)},{_num(c.y)},{_num(c.z)}],"depth":{p.depth},'
+        f'"center":[{_fmt(c.x)},{_fmt(c.y)},{_fmt(c.z)}],"depth":{p.depth},'
         f'"id":{_encode_str(p.id)},"identifier":{_encode_str(p.identifier)},"parent":{parent},'
-        f'"size":[{_num(z.x)},{_num(z.y)},{_num(z.z)}],"yaw_rad":{_num(b.yaw)}}}'
+        f'"size":[{_fmt(z.x)},{_fmt(z.y)},{_fmt(z.z)}],"yaw_rad":{_fmt(b.yaw)}}}'
     )
 
 
@@ -193,16 +190,16 @@ def _opening_json(o: Opening) -> str:
     c = o.center
     row, col = o.cell
     return (
-        f'{{"cell":[{row},{col}],"center":[{_num(c.x)},{_num(c.y)},{_num(c.z)}],'
-        f'"height":{_num(o.height_m)},"id":{_encode_str(o.id)},"kind":{_encode_str(o.kind)},'
-        f'"sill":{_num(o.sill_m)},"wall":{_encode_str(o.wall)},"width":{_num(o.width_m)}}}'
+        f'{{"cell":[{row},{col}],"center":[{_fmt(c.x)},{_fmt(c.y)},{_fmt(c.z)}],'
+        f'"height":{_fmt(o.height_m)},"id":{_encode_str(o.id)},"kind":{_encode_str(o.kind)},'
+        f'"sill":{_fmt(o.sill_m)},"wall":{_encode_str(o.wall)},"width":{_fmt(o.width_m)}}}'
     )
 
 
 def _scene_json(s: CompiledScene) -> str:
     g = s.grid
     return (
-        f'{{"grid":{{"cell_size":{_num(g.cell_size_m)},"cols":{g.cols},"rows":{g.rows}}},'
+        f'{{"grid":{{"cell_size":{_fmt(g.cell_size_m)},"cols":{g.cols},"rows":{g.rows}}},'
         f'"openings":[{",".join(map(_opening_json, s.openings))}],'
         f'"placements":[{",".join(map(_placement_json, s.placements))}],'
         f'"structural":[{",".join(map(_placement_json, s.structural))}]}}\n'
@@ -301,15 +298,12 @@ def _index(value, what: str) -> int:
 
 
 def _vec3(value, what: str) -> Vec3:
-    if not isinstance(value, list) or len(value) != 3:
-        raise SchemaError(f"scene JSON {what} must be a list of 3 numbers, got {value!r}")
     return Vec3(*(_number(v, f"{what} entry") for v in value))
 
 
 def _cell(value) -> tuple[int, int]:
-    if not isinstance(value, list) or len(value) != 2:
-        raise SchemaError(f"scene JSON 'cell' must be a list of 2 integers, got {value!r}")
-    return _index(value[0], "'cell' entry"), _index(value[1], "'cell' entry")
+    row, col = value
+    return _index(row, "'cell' entry"), _index(col, "'cell' entry")
 
 
 def _row_to_placement(row: dict, vocab: Vocabulary | None, structural: bool) -> Placement:
