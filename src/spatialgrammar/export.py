@@ -121,10 +121,14 @@ def _write_list(items, emit) -> None:
         emit(sep)
         sep = ","
         if type(item) is dict:
-            # rows of one shape, such as a report's collisions, share one key order
+            # rows of one shape, such as a report's collisions, share one key order;
+            # each row is joined on its own, so the output list holds one string
+            # per row and peak memory stays near the size of the result
             if item.keys() != keys:
                 keys, plan = item.keys(), _key_plan(item)
-            _write_dict(item, plan, emit)
+            row: list[str] = []
+            _write_dict(item, plan, row.append)
+            emit("".join(row))
         else:
             _write(item, emit)
     emit("]")
@@ -225,7 +229,12 @@ def load_scene_json(data: bytes | str, vocab: Vocabulary | None = None) -> Compi
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    doc = json.loads(data)
+    try:
+        doc = json.loads(data)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # an integer with more digits than int() converts
+        raise SchemaError(f"scene JSON holds a number that cannot be read: {exc}") from None
     try:
         return _scene_from_doc(doc, vocab)
     except KeyError as exc:

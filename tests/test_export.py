@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from spatialgrammar.compiler import CompiledScene, compile_building, compile_scene, compile_source
 from spatialgrammar.datagen import generate_sft_dataset
-from spatialgrammar.errors import SpatialGrammarError, UnsupportedFormat
+from spatialgrammar.errors import SchemaError, SpatialGrammarError, UnsupportedFormat
 from spatialgrammar.export import (
     FORMATS,
     canonical_json,
@@ -98,7 +98,9 @@ class Level(enum.IntEnum):
     TOP = 3
 
 
-TEXT = st.text(st.one_of(st.characters(), st.sampled_from("\x00\x1f\x7f\u2028\u2029\"\\\U0001f600")))
+# every code point but lone surrogates, with controls, separators and escapes made likely
+TEXT = st.text(st.one_of(st.characters(),
+                         st.sampled_from("\x00\x1f\x7f\u2028\u2029\"\\\U0001f600")))
 LEAVES = st.one_of(
     TEXT,
     st.floats(allow_nan=False, allow_infinity=False),
@@ -281,6 +283,12 @@ class TestReimport:
         scene = compile_scene(parse_llmsli(make_room("sofa")), vocab)
         blob = export_scene(scene, "json")
         assert load_scene_json(blob.decode("utf-8"), vocab).placements[0].id == "sofa_0"
+
+    def test_integer_beyond_the_digit_limit_refused(self, vocab):
+        blob = export_scene(compile_scene(parse_llmsli(NESTED), vocab), "json")
+        assert b'"rows":2' in blob
+        with pytest.raises(SchemaError):
+            load_scene_json(blob.replace(b'"rows":2', b'"rows":' + b"9" * 5000), vocab)
 
     def test_provenance_does_not_survive(self, vocab):
         scene = compile_scene(parse_llmsli(NESTED), vocab)
